@@ -383,7 +383,7 @@ runMicro(std::uint64_t ops)
         },
         [&](mem::BlockId b) -> std::uint64_t {
             uvm::BlockIndex i = store.find(b);
-            store.at(i).pinned = !store.at(i).pinned;
+            store.setPinned(i, !store.at(i).pinned);
             return store.at(i).pinned ? b : 0;
         });
     double storeSec = secondsSince(t0);

@@ -7,8 +7,9 @@
  * simulator's own hot core: event-queue push/pop and the inline
  * event callable vs std::function — and the block-metadata
  * structures: the dense BlockStore range probe vs the pre-rewrite
- * unordered_map::find, and the intrusive slab LRU vs the former
- * std::list + BlockId->iterator side map.
+ * unordered_map::find, the intrusive slab LRU vs the former
+ * std::list + BlockId->iterator side map, and the victim index's
+ * pick cost swept over the protected fraction.
  */
 
 #include <benchmark/benchmark.h>
@@ -352,6 +353,39 @@ BM_ListMapLruRequeue(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ListMapLruRequeue);
+
+// Victim pick under protection: 4096 resident blocks, the argument's
+// percentage of them held (DeepUM's protected set). Each iteration
+// picks the oldest evictable block and requeues it at the MRU end,
+// as an eviction plus a later re-migration would, so the held blocks
+// pile up at the LRU head — the case a linear walk pays for on every
+// pick. The rank-bitmap index should keep ns/pick flat across the
+// sweep (relabels included, amortized).
+
+void
+BM_PickVictim(benchmark::State &state)
+{
+    const std::uint64_t per = 4096;
+    const std::uint64_t heldPct = static_cast<std::uint64_t>(state.range(0));
+    uvm::BlockStore store;
+    mem::BlockId base = mem::blockOf(mem::kUmBase);
+    uvm::BlockIndex first = store.registerRun(base, base + per);
+    sim::Rng rng(13);
+    for (std::uint64_t j = 0; j < per; ++j) {
+        uvm::BlockIndex i = first + static_cast<uvm::BlockIndex>(j);
+        store.lruPushBack(i);
+        store.setHeld(i, rng.below(100) < heldPct);
+    }
+    for (auto _ : state) {
+        uvm::BlockIndex v = store.lruFirstEvictable();
+        benchmark::DoNotOptimize(v);
+        store.lruErase(v);
+        store.lruPushBack(v);
+    }
+    benchmark::DoNotOptimize(store.lruTail());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PickVictim)->Arg(0)->Arg(50)->Arg(90)->Arg(99);
 
 // --------------------------------------------------------------------
 // Fault-servicing queues and shard dispatch (PR 10)

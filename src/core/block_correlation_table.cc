@@ -255,11 +255,20 @@ BlockCorrelationTable::freshTags(std::uint32_t window) const
 void
 BlockCorrelationTable::refresh(mem::BlockId b)
 {
+    (void)visit(b);
+}
+
+SuccView
+BlockCorrelationTable::visit(mem::BlockId b)
+{
     Entry *e = find(b);
-    if (e != nullptr) {
-        e->lastUse = ++useClock_;
-        e->lastEpoch = epoch_;
-    }
+    if (e == nullptr)
+        return SuccView{};
+    e->lastUse = ++useClock_;
+    e->lastEpoch = epoch_;
+    return SuccView{
+        succsOf(static_cast<std::size_t>(e - entries_.data())),
+        e->succCount};
 }
 
 void

@@ -196,6 +196,12 @@ class BlockCorrelationTable
     DEEPUM_NOALLOC void refresh(mem::BlockId b);
 
     /**
+     * refresh(@p b) and successors(@p b) on one set probe: the chain
+     * walk's per-block step. Same view contract as successors().
+     */
+    DEEPUM_NOALLOC SuccView visit(mem::BlockId b);
+
+    /**
      * Drop @p b's entry. Called when a prefetch predicted from this
      * table was evicted untouched: its kernel ran without the block,
      * so the entry is stale (a leftover from an earlier allocator

@@ -1,6 +1,5 @@
 #include "core/deepum_policy.hh"
 
-#include "core/prefetcher.hh"
 #include "uvm/driver.hh"
 
 namespace deepum::core {
@@ -9,23 +8,14 @@ mem::BlockId
 DeepUmPolicy::pickVictim(const uvm::Driver &drv, bool demand)
 {
     const uvm::BlockStore &st = drv.store();
-    for (uvm::BlockIndex i = st.lruHead(); i != uvm::kNoBlockIndex;
-         i = st.at(i).lruNext) {
-        if (!st.at(i).pinned && !prefetcher_.isProtectedIndex(i))
-            return st.idAt(i);
-    }
+    uvm::BlockIndex i = st.lruFirstEvictable();
     // Everything unpinned is protected. A demand fault must make
     // progress, so fall back to plain LRU; a prefetch or
     // pre-eviction would be evicting predicted-useful data to make
     // room for less certain data — better to drop it.
-    if (!demand)
-        return uvm::kNoBlock;
-    for (uvm::BlockIndex i = st.lruHead(); i != uvm::kNoBlockIndex;
-         i = st.at(i).lruNext) {
-        if (!st.at(i).pinned)
-            return st.idAt(i);
-    }
-    return uvm::kNoBlock;
+    if (i == uvm::kNoBlockIndex && demand)
+        i = st.lruFirstUnpinned();
+    return i == uvm::kNoBlockIndex ? uvm::kNoBlock : st.idAt(i);
 }
 
 } // namespace deepum::core

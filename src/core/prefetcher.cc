@@ -62,20 +62,23 @@ Prefetcher::dropProt(uvm::BlockIndex i)
 {
     DEEPUM_ASSERT(i < protCount_.size() && protCount_[i] > 0,
                   "protection refcount out of sync");
-    if (--protCount_[i] == 0)
+    if (--protCount_[i] == 0) {
         --protectedDistinct_;
+        drv_.setHeld(i, false);
+    }
 }
 
 void
-Prefetcher::protect(std::size_t slot, mem::BlockId b)
+Prefetcher::protect(std::size_t slot, mem::BlockId b, uvm::BlockIndex i)
 {
-    uvm::BlockIndex i = drv_.store().find(b);
     support::pushAmortized(slotAt(slot).blocks, ProtEntry{b, i});
     if (i == uvm::kNoBlockIndex)
         return; // unknown block: nothing to refcount
     growScratch();
-    if (protCount_[i]++ == 0)
+    if (protCount_[i]++ == 0) {
         ++protectedDistinct_;
+        drv_.setHeld(i, true);
+    }
 }
 
 void
@@ -135,10 +138,10 @@ Prefetcher::onRangeUnregistered(mem::BlockId first, mem::BlockId end)
 }
 
 void
-Prefetcher::issue(std::size_t slot, mem::BlockId b)
+Prefetcher::issue(std::size_t slot, mem::BlockId b, uvm::BlockIndex i)
 {
-    protect(slot, b);
-    drv_.enqueuePrefetch(b, slotAt(slot).exec,
+    protect(slot, b, i);
+    drv_.enqueuePrefetch(b, i, slotAt(slot).exec,
                          static_cast<std::uint32_t>(slot));
     ++blocksIssued_;
     if (budget_ > 0)
@@ -220,11 +223,12 @@ Prefetcher::onFaultBlocks(const std::vector<mem::BlockId> &blocks)
     clearWalk();
     ++seenGen_;
     for (mem::BlockId b : blocks) {
-        if (!markSeen(b))
+        uvm::BlockIndex i = drv_.store().find(b);
+        if (!markSeen(i))
             continue;
         // The faulted blocks are demand-migrating; protect them for
         // the current kernel and walk their successors.
-        protect(0, b);
+        protect(0, b, i);
         support::pushAmortized(walk_, b);
     }
     enterKernelTable(0);
@@ -247,10 +251,11 @@ Prefetcher::enterKernelTable(std::size_t slot)
     bt->freshTags(cfg_.freshEpochWindow, freshScratch_,
                   drv_.shardPool());
     for (mem::BlockId t : freshScratch_) {
-        if (!markSeen(t))
+        uvm::BlockIndex i = drv_.store().find(t);
+        if (!markSeen(i))
             continue;
         bt->refresh(t);
-        issue(slot, t);
+        issue(slot, t, i);
         support::pushAmortized(walk_, t);
         if (budget_ == 0)
             return;
@@ -314,19 +319,19 @@ Prefetcher::runChain()
             ++chainDeadNoTable_;
             return;
         }
-        // A visited entry is live: keep it in the fresh window even
-        // when prefetching keeps it from ever faulting again.
-        bt->refresh(p);
-        // The view aliases the table's successor slab. issue() only
-        // pushes into the driver's queue and the protection lists —
-        // it never touches the block tables — so iterating the slab
-        // in place is safe; no defensive copy.
-        SuccView succs = bt->successors(p);
+        // A visited entry is live: visit() keeps it in the fresh
+        // window even when prefetching keeps it from ever faulting
+        // again. The view aliases the table's successor slab.
+        // issue() only pushes into the driver's queue and the
+        // protection lists — it never touches the block tables — so
+        // iterating the slab in place is safe; no defensive copy.
+        SuccView succs = bt->visit(p);
         bool end_met = false;
         for (mem::BlockId s : succs) {
-            if (!markSeen(s))
+            uvm::BlockIndex i = drv_.store().find(s);
+            if (!markSeen(i))
                 continue;
-            issue(chainDepth_, s);
+            issue(chainDepth_, s, i);
             if (s == bt->end())
                 end_met = true;
             support::pushAmortized(walk_, s);
@@ -387,8 +392,9 @@ Prefetcher::transitionChain()
 
         clearWalk();
         ++seenGen_;
-        markSeen(bt->start());
-        issue(chainDepth_, bt->start());
+        uvm::BlockIndex start = drv_.store().find(bt->start());
+        markSeen(start);
+        issue(chainDepth_, bt->start(), start);
         support::pushAmortized(walk_, bt->start());
         enterKernelTable(chainDepth_);
 
@@ -444,6 +450,17 @@ Prefetcher::checkInvariants(sim::CheckContext &ctx) const
         ctx.fail("slab slot %zu refcount %u disagrees with slot "
                  "lists (%u)",
                  i, protCount_[i], expected[i]);
+    }
+    // The store's hold bits are the eviction policy's view of the
+    // protected set: exactly the slots with a nonzero refcount.
+    const uvm::BlockStore &st = drv_.store();
+    for (uvm::BlockIndex i = 0; i < st.slabSize(); ++i) {
+        bool prot = i < protCount_.size() && protCount_[i] != 0;
+        ctx.require(st.at(i).held == prot,
+                    "slab slot %u hold bit %d disagrees with its "
+                    "protection refcount %u",
+                    i, int(st.at(i).held),
+                    i < protCount_.size() ? protCount_[i] : 0u);
     }
     ctx.require(slotCount_ <= std::size_t(cfg_.lookaheadN) + 2,
                 "prediction window holds %zu slots, lookahead is %u",

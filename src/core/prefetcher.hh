@@ -14,11 +14,14 @@
  *
  * The prefetcher also maintains the *protected set* — blocks
  * predicted to be used by the current and next N kernels — which the
- * DeepUM eviction policy consults (Section 5.1). Both the walk
+ * DeepUM eviction policy honours (Section 5.1). Both the walk
  * dedupe and the protection refcounts are dense arrays keyed by the
  * driver's BlockStore slab indices: the dedupe is epoch-stamped (a
- * generation bump is the O(1) per-activation clear) and the refcount
- * probe the eviction policy hits per LRU step is one array read.
+ * generation bump is the O(1) per-activation clear). A refcount's
+ * 0<->1 transitions set and clear the block's hold bit in the store,
+ * which is all the eviction policy reads. Each walked block is
+ * resolved to its slab index once, and that index feeds the dedupe,
+ * the refcount and the driver's prefetch enqueue.
  *
  * The steady-state chain walk is allocation-free: the prediction
  * window is a fixed ring of slots whose protection lists keep their
@@ -89,13 +92,7 @@ class Prefetcher
     DEEPUM_NOALLOC bool
     isProtected(mem::BlockId b) const
     {
-        return isProtectedIndex(drv_.store().find(b));
-    }
-
-    /** isProtected for a block already resolved to its slab slot. */
-    DEEPUM_NOALLOC bool
-    isProtectedIndex(uvm::BlockIndex i) const
-    {
+        uvm::BlockIndex i = drv_.store().find(b);
         return i < protCount_.size() && protCount_[i] != 0;
     }
 
@@ -112,9 +109,11 @@ class Prefetcher
      * Audit the protection bookkeeping (sim/validate.hh): the
      * refcount array must equal the multiset union of the slot block
      * lists, live slot entries must name the slab slot their block
-     * still occupies, the window must respect the lookahead bound,
-     * the chain cursor must point into the window, and the pending
-     * completion table's non-empty counter must match its slots.
+     * still occupies, every slab slot's store hold bit must equal
+     * its refcount being nonzero, the window must respect the
+     * lookahead bound, the chain cursor must point into the window,
+     * and the pending completion table's non-empty counter must
+     * match its slots.
      */
     void checkInvariants(sim::CheckContext &ctx) const;
 
@@ -162,14 +161,14 @@ class Prefetcher
     }
 
     /**
-     * Mark @p b visited in this activation; @return true on first
-     * visit. Unknown blocks count as first visits (the driver drops
-     * their enqueues; matches the former hash-set semantics).
+     * Mark slab slot @p i visited in this activation; @return true on
+     * first visit. Unknown blocks (kNoBlockIndex) count as first
+     * visits (the driver drops their enqueues; matches the former
+     * hash-set semantics).
      */
     DEEPUM_NOALLOC bool
-    markSeen(mem::BlockId b)
+    markSeen(uvm::BlockIndex i)
     {
-        uvm::BlockIndex i = drv_.store().find(b);
         if (i == uvm::kNoBlockIndex)
             return true;
         growScratch();
@@ -199,8 +198,9 @@ class Prefetcher
     /** Drop one protection reference on slab slot @p i. */
     DEEPUM_NOALLOC void dropProt(uvm::BlockIndex i);
 
-    /** Add @p b to @p slot's protection list. */
-    DEEPUM_NOALLOC void protect(std::size_t slot, mem::BlockId b);
+    /** Add @p b (slab slot @p i) to @p slot's protection list. */
+    DEEPUM_NOALLOC void protect(std::size_t slot, mem::BlockId b,
+                                uvm::BlockIndex i);
 
     /** Drop the front slot (its kernel retired or mispredicted). */
     DEEPUM_NOALLOC void popFrontSlot();
@@ -208,8 +208,9 @@ class Prefetcher
     /** Drop every slot and kill the chain. */
     DEEPUM_NOALLOC void clearAllSlots();
 
-    /** Enqueue @p b and protect it for slot @p slot. */
-    DEEPUM_NOALLOC void issue(std::size_t slot, mem::BlockId b);
+    /** Enqueue @p b (slab slot @p i) and protect it for @p slot. */
+    DEEPUM_NOALLOC void issue(std::size_t slot, mem::BlockId b,
+                              uvm::BlockIndex i);
 
     /** Issue all live entries of @p slot's kernel table. */
     DEEPUM_NOALLOC void enterKernelTable(std::size_t slot);

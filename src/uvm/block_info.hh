@@ -24,6 +24,15 @@ using BlockIndex = std::uint32_t;
 /** Sentinel for "no slab slot". */
 constexpr BlockIndex kNoBlockIndex = ~BlockIndex(0);
 
+/**
+ * Position of a resident block in BlockStore's least-recently-migrated
+ * order: ranks strictly increase from the LRU head to its tail.
+ */
+using LruRank = std::uint32_t;
+
+/** Sentinel for "not linked in the LRU" (non-resident). */
+constexpr LruRank kNoLruRank = ~LruRank(0);
+
 /** Where a UM block's backing data currently lives. */
 enum class Loc : std::uint8_t {
     Unpopulated, ///< never touched, or invalidated; zero-fill on fault
@@ -42,10 +51,22 @@ struct BlockInfo {
      */
     std::uint64_t inactiveBytes = 0;
     bool prefetched = false;         ///< resident via prefetch, not yet used
-    bool pinned = false;             ///< held by in-flight fault handling
+    /**
+     * Held by in-flight fault handling: never a victim. Written only
+     * through BlockStore::setPinned (it feeds the victim index).
+     */
+    bool pinned = false;
+    /**
+     * Held by a victim-selection veto (DeepUM's protected set): only
+     * a demand fault may evict it. Written only through
+     * BlockStore::setHeld.
+     */
+    bool held = false;
     std::uint32_t prefetchExecId = 0; ///< exec ID that predicted it
     bool queuedFault = false;        ///< sitting in the fault queue
     bool queuedPrefetch = false;     ///< sitting in the prefetch queue
+    /** LRU position (kNoLruRank while not resident); BlockStore's. */
+    LruRank lruRank = kNoLruRank;
     std::uint64_t migrateSeq = 0;    ///< global order of last migration
 
     /**

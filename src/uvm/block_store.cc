@@ -145,6 +145,35 @@ BlockStore::unregisterRun(mem::BlockId first, mem::BlockId end)
 }
 
 void
+BlockStore::RankBitmap::reset(std::size_t ranks)
+{
+    std::size_t words = ranks / 64;
+    words_.assign(words, 0);
+    summary_.assign((words + 63) / 64, 0);
+}
+
+void
+BlockStore::relabel()
+{
+    // Twice the resident set (plus the block being pushed) leaves at
+    // least lruSize_ + 1 pushes before the next relabel, which costs
+    // O(lruSize_): O(1) amortized per push.
+    std::size_t ranks = std::max<std::size_t>(2 * (lruSize_ + 1), 64);
+    ranks = (ranks + 63) / 64 * 64;
+    rankSlot_.resize(ranks);
+    unpinned_.reset(ranks);
+    evictable_.reset(ranks);
+    LruRank r = 0;
+    for (BlockIndex i = lruHead_; i != kNoBlockIndex;
+         i = slab_[i].lruNext, ++r) {
+        slab_[i].lruRank = r;
+        rankSlot_[r] = i;
+        syncVictimBits(slab_[i]);
+    }
+    nextRank_ = r;
+}
+
+void
 BlockStore::checkInvariants(sim::CheckContext &ctx) const
 {
     // Run table: sorted, disjoint, sane slot spans, backrefs exact.
@@ -211,8 +240,11 @@ BlockStore::checkInvariants(sim::CheckContext &ctx) const
                         "free slot %u still backrefs block %llu", i,
                         static_cast<unsigned long long>(ids_[i]));
             ctx.require(slab_[i].lruPrev == kNoBlockIndex &&
-                            slab_[i].lruNext == kNoBlockIndex,
+                            slab_[i].lruNext == kNoBlockIndex &&
+                            slab_[i].lruRank == kNoLruRank,
                         "free slot %u still linked in the LRU", i);
+            ctx.require(!slab_[i].pinned && !slab_[i].held,
+                        "free slot %u still pinned or held", i);
         }
     }
     ctx.require(live + freed == slab_.size(),
@@ -221,9 +253,15 @@ BlockStore::checkInvariants(sim::CheckContext &ctx) const
                 live, freed, slab_.size());
 
     // Intrusive LRU: one doubly-linked list over live slots, link
-    // symmetry, size agreement.
+    // symmetry, size agreement, ranks strictly increasing and mapped
+    // back to their slot. The walk also recomputes both victim
+    // bitmaps from the pinned/held bits.
+    std::size_t rank_words = rankSlot_.size() / 64;
+    std::vector<std::uint64_t> want_unpinned(rank_words, 0);
+    std::vector<std::uint64_t> want_evictable(rank_words, 0);
     std::size_t walked = 0;
     BlockIndex prev = kNoBlockIndex;
+    LruRank prev_rank = 0;
     for (BlockIndex i = lruHead_; i != kNoBlockIndex;
          i = slab_[i].lruNext) {
         ctx.require(i < slab_.size(),
@@ -236,10 +274,51 @@ BlockStore::checkInvariants(sim::CheckContext &ctx) const
         ctx.require(slab_[i].lruPrev == prev,
                     "LRU back-link of slot %u names %u, expected %u",
                     i, slab_[i].lruPrev, prev);
+        LruRank r = slab_[i].lruRank;
+        ctx.require(r < nextRank_,
+                    "LRU slot %u has rank %u, next rank is %u", i, r,
+                    nextRank_);
+        ctx.require(prev == kNoBlockIndex || r > prev_rank,
+                    "LRU rank %u of slot %u does not exceed its "
+                    "predecessor's %u",
+                    r, i, prev_rank);
+        if (r < nextRank_) {
+            ctx.require(rankSlot_[r] == i,
+                        "rank %u maps to slot %u, LRU holds slot %u",
+                        r, rankSlot_[r], i);
+            std::uint64_t bit = std::uint64_t(1) << (r & 63);
+            if (!slab_[i].pinned)
+                want_unpinned[r >> 6] |= bit;
+            if (!slab_[i].pinned && !slab_[i].held)
+                want_evictable[r >> 6] |= bit;
+        }
+        prev_rank = r;
         prev = i;
         if (++walked > lruSize_)
             break; // cycle; the size check below reports it
     }
+    auto check_bitmap = [&](const char *name, const RankBitmap &bm,
+                            const std::vector<std::uint64_t> &want) {
+        ctx.require(bm.words() == want,
+                    "%s bitmap disagrees with the LRU's pinned/held "
+                    "bits",
+                    name);
+        bool summary_ok = bm.summary().size() == (want.size() + 63) / 64;
+        for (std::size_t w = 0; summary_ok && w < want.size(); ++w)
+            summary_ok = ((bm.summary()[w >> 6] >> (w & 63)) & 1) ==
+                         (bm.words()[w] != 0 ? 1u : 0u);
+        ctx.require(summary_ok,
+                    "%s bitmap summary disagrees with its words", name);
+    };
+    check_bitmap("unpinned", unpinned_, want_unpinned);
+    check_bitmap("evictable", evictable_, want_evictable);
+    std::size_t ranked = 0;
+    for (const BlockInfo &bi : slab_)
+        if (bi.lruRank != kNoLruRank)
+            ++ranked;
+    ctx.require(ranked == lruSize_,
+                "%zu slots carry an LRU rank, LRU size is %zu", ranked,
+                lruSize_);
     ctx.require(walked == lruSize_,
                 "LRU walk visited %zu slots, size counter says %zu",
                 walked, lruSize_);
@@ -254,6 +333,7 @@ BlockStore::dumpState(std::ostream &os) const
     os << "BlockStore{blocks=" << size_ << " slab=" << slab_.size()
        << " ranges=" << ranges_.size()
        << " freeRuns=" << freeRuns_.size() << " lru=" << lruSize_
+       << " ranks=" << rankSlot_.size() << " nextRank=" << nextRank_
        << "}\n";
     for (const Range &r : ranges_)
         os << "  range [" << r.first << ", " << r.end << ") -> slots ["

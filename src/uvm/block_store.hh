@@ -15,6 +15,13 @@
  * hash set (now a bit in the record) — the per-event hashing and
  * pointer-chasing on the fault path's hottest lookups.
  *
+ * Victim selection is an index over the LRU, not a walk of it: every
+ * resident block carries a monotone LRU rank, and two rank-keyed
+ * two-level bitmaps mark the resident blocks that are unpinned and
+ * those that are unpinned and not held. The oldest candidate of
+ * either kind is a find-first-set, however many blocks are pinned or
+ * held (DESIGN.md §3.9).
+ *
  * Everything here is deterministic by construction: lookups are pure,
  * iteration orders are slab/BlockId order or the intrusive list, and
  * slot assignment depends only on the register/unregister history.
@@ -23,6 +30,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <iosfwd>
 #include <vector>
@@ -114,11 +122,20 @@ class BlockStore
 
     // --- intrusive least-recently-migrated list ---------------------
 
-    /** Append slot @p i (must not be linked) at the MRU end. */
+    /**
+     * Append slot @p i (must not be linked) at the MRU end, with the
+     * next LRU rank (relabelling the list first when the rank space
+     * is used up).
+     */
     DEEPUM_NOALLOC void
     lruPushBack(BlockIndex i)
     {
+        if (nextRank_ == rankSlot_.size())
+            relabel();
         BlockInfo &bi = slab_[i];
+        bi.lruRank = nextRank_++;
+        rankSlot_[bi.lruRank] = i;
+        syncVictimBits(bi);
         bi.lruPrev = lruTail_;
         bi.lruNext = kNoBlockIndex;
         if (lruTail_ != kNoBlockIndex)
@@ -129,11 +146,14 @@ class BlockStore
         ++lruSize_;
     }
 
-    /** Unlink slot @p i (must be linked). */
+    /** Unlink slot @p i (must be linked) and drop its rank. */
     DEEPUM_NOALLOC void
     lruErase(BlockIndex i)
     {
         BlockInfo &bi = slab_[i];
+        unpinned_.clear(bi.lruRank);
+        evictable_.clear(bi.lruRank);
+        bi.lruRank = kNoLruRank;
         if (bi.lruPrev != kNoBlockIndex)
             slab_[bi.lruPrev].lruNext = bi.lruNext;
         else
@@ -210,6 +230,49 @@ class BlockStore
 
     DEEPUM_NOALLOC LruView lruOrder() const { return LruView(this); }
 
+    /**
+     * Renumber the LRU ranks 0..lruSize()-1 in list order and resize
+     * the rank space to twice the resident set. lruPushBack calls it
+     * when the ranks run out; public so tests can force one. Ranks
+     * keep their relative order, so no query answer changes.
+     */
+    DEEPUM_ALLOC_OK("grows with the resident set")
+    void relabel();
+
+    // --- victim index (eviction policies) ---------------------------
+
+    /** Oldest-migrated resident slot that is not pinned, or
+     * kNoBlockIndex (the stock driver's victim). */
+    DEEPUM_NOALLOC BlockIndex
+    lruFirstUnpinned() const
+    {
+        return slotOfRank(unpinned_.first());
+    }
+
+    /** Oldest-migrated resident slot that is neither pinned nor
+     * held, or kNoBlockIndex (DeepUM's pre-eviction victim). */
+    DEEPUM_NOALLOC BlockIndex
+    lruFirstEvictable() const
+    {
+        return slotOfRank(evictable_.first());
+    }
+
+    /** Set or clear slot @p i's pinned bit. */
+    DEEPUM_NOALLOC void
+    setPinned(BlockIndex i, bool on)
+    {
+        slab_[i].pinned = on;
+        syncVictimBits(slab_[i]);
+    }
+
+    /** Set or clear slot @p i's held bit (free slots allowed). */
+    DEEPUM_NOALLOC void
+    setHeld(BlockIndex i, bool on)
+    {
+        slab_[i].held = on;
+        syncVictimBits(slab_[i]);
+    }
+
     // --- whole-store iteration (BlockId order, deterministic) -------
 
     /** Call fn(BlockId, BlockIndex) for every live block. */
@@ -232,7 +295,8 @@ class BlockStore
      * sorted/coalesced/disjoint from live slots with scrubbed
      * records, live + free covering the slab exactly, and the
      * intrusive LRU links forming one consistent list over live
-     * slots.
+     * slots with strictly increasing ranks, and both victim bitmaps
+     * (words and summaries) equal to their recomputed predicates.
      */
     void checkInvariants(sim::CheckContext &ctx) const;
 
@@ -245,6 +309,91 @@ class BlockStore
         BlockIndex base = kNoBlockIndex;
         BlockIndex len = 0;
     };
+
+    /**
+     * A 64-ary two-level bitmap over LRU ranks: summary bit w is set
+     * iff words_[w] != 0, so the lowest set rank is one summary scan
+     * (rank space / 4096 words) plus two count-trailing-zeros.
+     */
+    class RankBitmap
+    {
+      public:
+        /** Clear to @p ranks zero bits (a multiple of 64). */
+        void reset(std::size_t ranks);
+
+        void
+        set(LruRank r)
+        {
+            words_[r >> 6] |= bit(r);
+            summary_[r >> 12] |= bit(r >> 6);
+        }
+
+        void
+        clear(LruRank r)
+        {
+            std::uint64_t &w = words_[r >> 6];
+            w &= ~bit(r);
+            if (w == 0)
+                summary_[r >> 12] &= ~bit(r >> 6);
+        }
+
+        void
+        assign(LruRank r, bool on)
+        {
+            if (on)
+                set(r);
+            else
+                clear(r);
+        }
+
+        /** Lowest set rank, or kNoLruRank. */
+        LruRank
+        first() const
+        {
+            for (std::size_t s = 0; s < summary_.size(); ++s) {
+                if (summary_[s] == 0)
+                    continue;
+                std::size_t w =
+                    s * 64 + std::size_t(std::countr_zero(summary_[s]));
+                return static_cast<LruRank>(
+                    w * 64 + std::size_t(std::countr_zero(words_[w])));
+            }
+            return kNoLruRank;
+        }
+
+        const std::vector<std::uint64_t> &words() const { return words_; }
+        const std::vector<std::uint64_t> &
+        summary() const
+        {
+            return summary_;
+        }
+
+      private:
+        static std::uint64_t
+        bit(std::uint64_t r)
+        {
+            return std::uint64_t(1) << (r & 63);
+        }
+
+        std::vector<std::uint64_t> words_;   ///< bit per rank
+        std::vector<std::uint64_t> summary_; ///< bit per nonzero word
+    };
+
+    /** Re-derive a linked record's bits in both victim bitmaps. */
+    DEEPUM_NOALLOC void
+    syncVictimBits(const BlockInfo &bi)
+    {
+        if (bi.lruRank == kNoLruRank)
+            return;
+        unpinned_.assign(bi.lruRank, !bi.pinned);
+        evictable_.assign(bi.lruRank, !bi.pinned && !bi.held);
+    }
+
+    DEEPUM_NOALLOC BlockIndex
+    slotOfRank(LruRank r) const
+    {
+        return r == kNoLruRank ? kNoBlockIndex : rankSlot_[r];
+    }
 
     DEEPUM_NOALLOC BlockIndex findSlow(mem::BlockId b) const;
 
@@ -270,6 +419,12 @@ class BlockStore
     BlockIndex lruHead_ = kNoBlockIndex;
     BlockIndex lruTail_ = kNoBlockIndex;
     std::size_t lruSize_ = 0;
+
+    /** Rank -> slot for linked ranks (stale entries elsewhere). */
+    std::vector<BlockIndex> rankSlot_;
+    LruRank nextRank_ = 0;   ///< rank the next lruPushBack takes
+    RankBitmap unpinned_;    ///< linked and not pinned
+    RankBitmap evictable_;   ///< linked, not pinned, not held
 };
 
 } // namespace deepum::uvm

@@ -132,7 +132,7 @@ Driver::unregisterRange(mem::VAddr va, std::uint64_t bytes)
             frames_.release(bi.pages);
             store_.lruErase(i);
         }
-        unpin(bi);
+        unpin(i);
     }
     store_.unregisterRun(first, end);
     for (auto *l : listeners_)
@@ -175,7 +175,13 @@ bool
 Driver::enqueuePrefetch(mem::BlockId block, std::uint32_t exec_id,
                         std::uint32_t depth)
 {
-    BlockIndex i = store_.find(block);
+    return enqueuePrefetch(block, store_.find(block), exec_id, depth);
+}
+
+bool
+Driver::enqueuePrefetch(mem::BlockId block, BlockIndex i,
+                        std::uint32_t exec_id, std::uint32_t depth)
+{
     if (i == kNoBlockIndex)
         return false;
     BlockInfo &bi = store_.at(i);
@@ -353,7 +359,7 @@ Driver::handleFaults()
             if (ledger_ != nullptr)
                 ledger_->onDemandFault(b, curTick());
             if (!bi.pinned) {
-                bi.pinned = true;
+                store_.setPinned(i, true);
                 ++pinnedCount_;
             }
             if (!bi.queuedFault) {
@@ -393,7 +399,7 @@ Driver::resolveFault(mem::BlockId b)
 {
     BlockIndex i = store_.find(b);
     if (i != kNoBlockIndex)
-        unpin(store_.at(i));
+        unpin(i);
     if (pinnedCount_ != 0)
         return;
     if (engine_ != nullptr && engine_->stalled() && !replayPending_) {

@@ -138,6 +138,28 @@ class Driver : public sim::SimObject, public gpu::UvmBackend
     bool enqueuePrefetch(mem::BlockId block, std::uint32_t exec_id,
                          std::uint32_t depth = 0);
 
+    /**
+     * enqueuePrefetch for a block the caller already resolved to its
+     * slab slot @p i (kNoBlockIndex: unknown, dropped), saving the
+     * store probe on the chain walk.
+     */
+    DEEPUM_ALLOC_OK("fixed command ring; drain event and tracing "
+                    "are amortized or opt-in")
+    bool enqueuePrefetch(mem::BlockId block, BlockIndex i,
+                         std::uint32_t exec_id, std::uint32_t depth);
+
+    /**
+     * Set or clear slot @p i's eviction hold (BlockStore::setHeld).
+     * DeepUM's prefetcher holds its protected set here so the
+     * victim index can skip it; the bit vetoes every victim pick
+     * except a demand fault's fallback.
+     */
+    DEEPUM_NOALLOC void
+    setHeld(BlockIndex i, bool on)
+    {
+        store_.setHeld(i, on);
+    }
+
     /** Commands waiting in the prefetch queue. */
     std::size_t prefetchQueueDepth() const { return prefetchQueue_.size(); }
 
@@ -231,12 +253,12 @@ class Driver : public sim::SimObject, public gpu::UvmBackend
     /** A demand-faulted block became resident (or already was). */
     void resolveFault(mem::BlockId b);
 
-    /** Clear @p bi's pinned bit (no-op when clear). */
+    /** Clear slot @p i's pinned bit (no-op when clear). */
     void
-    unpin(BlockInfo &bi)
+    unpin(BlockIndex i)
     {
-        if (bi.pinned) {
-            bi.pinned = false;
+        if (store_.at(i).pinned) {
+            store_.setPinned(i, false);
             --pinnedCount_;
         }
     }

@@ -9,12 +9,8 @@ LruMigratedPolicy::pickVictim(const Driver &drv, bool demand)
 {
     (void)demand; // the stock driver treats both paths the same
     const BlockStore &st = drv.store();
-    for (BlockIndex i = st.lruHead(); i != kNoBlockIndex;
-         i = st.at(i).lruNext) {
-        if (!st.at(i).pinned)
-            return st.idAt(i);
-    }
-    return kNoBlock;
+    BlockIndex i = st.lruFirstUnpinned();
+    return i == kNoBlockIndex ? kNoBlock : st.idAt(i);
 }
 
 } // namespace deepum::uvm

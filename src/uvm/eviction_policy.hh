@@ -7,6 +7,13 @@
  * but additionally skips blocks predicted to be used by the current
  * and next N kernels; that policy lives in core/ next to the
  * prefetcher that owns the prediction.
+ *
+ * Policies do not walk the LRU. uvm::BlockStore keeps a victim index
+ * over it (LRU ranks plus two find-first-set bitmaps, DESIGN.md
+ * §3.9): the oldest unpinned resident block, and the oldest one that
+ * is also not held. The driver maintains the pinned bits and DeepUM
+ * the held bits, so each pick is O(1) in the number of skipped
+ * blocks and yields exactly the block the linear walk would.
  */
 
 #pragma once
@@ -43,7 +50,8 @@ class EvictionPolicy
 };
 
 /**
- * NVIDIA-driver default: evict the least recently migrated block.
+ * NVIDIA-driver default: evict the least recently migrated block
+ * that is not pinned — one BlockStore victim-index query, not a walk.
  */
 class LruMigratedPolicy : public EvictionPolicy
 {

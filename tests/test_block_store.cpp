@@ -4,13 +4,16 @@
  * register/unregister/access/LRU op sequence is mirrored against a
  * trivially-correct reference model (ordered map + std::list), with
  * full-state comparison and the store's own invariant audit
- * interleaved, plus targeted tests of free-slot reuse and the
- * registration panics.
+ * interleaved; a seeded op sequence checking the victim index
+ * (lruFirstUnpinned/lruFirstEvictable) against the linear LRU walks
+ * it replaced after every step; plus targeted tests of relabelling,
+ * free-slot reuse and the registration panics.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <list>
 #include <map>
 #include <set>
@@ -187,6 +190,167 @@ TEST(BlockStore, RandomOpsMatchReferenceModel)
     compareAll(st, m);
 }
 
+/** The pre-index victim walks: first LRU slot passing @p ok. */
+template <typename Pred>
+BlockIndex
+walkFirst(const BlockStore &st, Pred ok)
+{
+    for (BlockIndex i = st.lruHead(); i != kNoBlockIndex;
+         i = st.at(i).lruNext)
+        if (ok(st.at(i)))
+            return i;
+    return kNoBlockIndex;
+}
+
+/** Both victim-index queries against the linear LRU walks. */
+void
+compareVictimIndex(const BlockStore &st)
+{
+    ASSERT_EQ(st.lruFirstUnpinned(),
+              walkFirst(st, [](const BlockInfo &bi) {
+                  return !bi.pinned;
+              }));
+    ASSERT_EQ(st.lruFirstEvictable(),
+              walkFirst(st, [](const BlockInfo &bi) {
+                  return !bi.pinned && !bi.held;
+              }));
+}
+
+TEST(BlockStore, VictimIndexMatchesLinearWalk)
+{
+    BlockStore st;
+    sim::Rng rng(1251);
+    std::set<BlockIndex> linked;
+    std::map<std::uint64_t, std::pair<mem::BlockId, mem::BlockId>> runs;
+    std::size_t heldSkips = 0; ///< steps where a held block was skipped
+    std::size_t allHeld = 0;   ///< steps where every candidate was held
+
+    /** A random registered slot, or kNoBlockIndex when none. */
+    auto pickSlot = [&]() -> BlockIndex {
+        if (runs.empty())
+            return kNoBlockIndex;
+        auto it = runs.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(
+                             rng.below(runs.size())));
+        auto [first, end] = it->second;
+        return st.find(first + rng.below(end - first));
+    };
+
+    for (int step = 0; step < 20000; ++step) {
+        // Phases sweep the held share from none to all, so runs of
+        // "everything held" (the empty evictable query) occur.
+        std::uint64_t holdPct = (step / 1000) % 2 == 0
+                                    ? 100 * ((step / 2000) % 5) / 4
+                                    : 50;
+        std::uint64_t op = rng.below(100);
+        if (op < 4) {
+            // Few areas keep the resident set small enough for the
+            // hold phases to cover it.
+            std::uint64_t area = rng.below(8);
+            if (runs.count(area) != 0)
+                continue;
+            mem::BlockId first = areaBase(area);
+            mem::BlockId end = first + 1 + rng.below(kMaxRun);
+            st.registerRun(first, end);
+            runs[area] = {first, end};
+        } else if (op < 6) {
+            if (runs.empty())
+                continue;
+            auto it = runs.begin();
+            std::advance(it, static_cast<std::ptrdiff_t>(
+                                 rng.below(runs.size())));
+            auto [first, end] = it->second;
+            for (mem::BlockId b = first; b != end; ++b) {
+                BlockIndex i = st.find(b);
+                if (linked.erase(i) != 0)
+                    st.lruErase(i);
+            }
+            st.unregisterRun(first, end);
+            runs.erase(it);
+        } else if (op < 40) {
+            // Migrate in (or re-migrate: requeue at the MRU end).
+            BlockIndex i = pickSlot();
+            if (i == kNoBlockIndex)
+                continue;
+            if (linked.count(i) != 0)
+                st.lruErase(i);
+            st.lruPushBack(i);
+            linked.insert(i);
+        } else if (op < 55) {
+            // Evict.
+            BlockIndex i = pickSlot();
+            if (i == kNoBlockIndex || linked.erase(i) == 0)
+                continue;
+            st.lruErase(i);
+        } else if (op < 70) {
+            BlockIndex i = pickSlot();
+            if (i != kNoBlockIndex)
+                st.setPinned(i, rng.below(100) < 15);
+        } else if (op < 99) {
+            // Mostly resident targets, so the all-held phases get
+            // there; hold bits on non-resident slots must persist
+            // through a later migration, so those are hit too.
+            BlockIndex i = kNoBlockIndex;
+            if (!linked.empty() && rng.below(100) < 70) {
+                auto it = linked.begin();
+                std::advance(it, static_cast<std::ptrdiff_t>(
+                                     rng.below(linked.size())));
+                i = *it;
+            } else {
+                i = pickSlot();
+            }
+            if (i != kNoBlockIndex)
+                st.setHeld(i, rng.below(100) < holdPct);
+        } else {
+            st.relabel();
+        }
+        compareVictimIndex(st);
+        if (step % 64 == 0)
+            audit(st);
+        BlockIndex unpinned = st.lruFirstUnpinned();
+        BlockIndex evictable = st.lruFirstEvictable();
+        if (unpinned != evictable)
+            ++heldSkips;
+        if (unpinned != kNoBlockIndex && evictable == kNoBlockIndex)
+            ++allHeld;
+    }
+    audit(st);
+    // The sequence must reach the interesting states, not only the
+    // trivial ones.
+    EXPECT_GT(heldSkips, 1000u);
+    EXPECT_GT(allHeld, 100u);
+}
+
+TEST(BlockStore, RelabelKeepsVictimsAndSizesToResidentSet)
+{
+    BlockStore st;
+    BlockIndex base = st.registerRun(kBase, kBase + 8);
+    for (BlockIndex i = 0; i < 8; ++i)
+        st.lruPushBack(base + i);
+    st.setPinned(base, true);
+    st.setHeld(base + 1, true);
+    EXPECT_EQ(st.lruFirstUnpinned(), base + 1);
+    EXPECT_EQ(st.lruFirstEvictable(), base + 2);
+    // Churn far past the 64-rank minimum: every requeue takes a fresh
+    // rank, so the store relabels many times along the way.
+    for (int n = 0; n < 1000; ++n) {
+        BlockIndex i = base + 2 + static_cast<BlockIndex>(n % 6);
+        st.lruErase(i);
+        st.lruPushBack(i);
+    }
+    st.relabel();
+    EXPECT_EQ(st.lruFirstUnpinned(), base + 1);
+    EXPECT_EQ(st.lruFirstEvictable(), walkFirst(st, [](const BlockInfo &bi) {
+                  return !bi.pinned && !bi.held;
+              }));
+    // Eight resident blocks relabel into the 64-rank minimum.
+    std::ostringstream os;
+    st.dumpState(os);
+    EXPECT_NE(os.str().find("ranks=64 nextRank=8"), std::string::npos)
+        << os.str();
+    audit(st);
+}
+
 TEST(BlockStore, UnregisterReusesSlabSlots)
 {
     BlockStore st;
@@ -224,6 +388,17 @@ TEST(BlockStore, FreshRecordsAfterReuse)
     EXPECT_EQ(st.at(j).lruPrev, kNoBlockIndex);
     EXPECT_EQ(st.at(j).lruNext, kNoBlockIndex);
     audit(st);
+}
+
+TEST(BlockStoreDeath, PinnedBitWrittenPastTheIndexIsCaught)
+{
+    BlockStore st;
+    BlockIndex i = st.registerRun(kBase, kBase + 2);
+    st.lruPushBack(i);
+    st.lruPushBack(i + 1);
+    // Written around setPinned: the bitmaps still offer the slot.
+    st.at(i).pinned = true;
+    EXPECT_DEATH(audit(st), "unpinned bitmap disagrees");
 }
 
 TEST(BlockStoreDeath, OverlappingRegisterPanics)

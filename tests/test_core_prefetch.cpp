@@ -1,14 +1,20 @@
 /**
  * @file
  * Unit tests for the correlator, prefetcher (chaining semantics),
- * DeepUM eviction policy, and pre-evictor, wired to a real driver on
- * a small simulated GPU.
+ * DeepUM eviction policy (protected-block skipping, the demand
+ * fallback, pinned-resident blocks, agreement with the linear LRU
+ * walk it replaced), and pre-evictor, wired to a real driver on a
+ * small simulated GPU.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/correlator.hh"
 #include "core/deepum.hh"
+#include "core/deepum_policy.hh"
 #include "core/prefetcher.hh"
 #include "gpu/fault_buffer.hh"
 #include "gpu/gpu_engine.hh"
@@ -296,6 +302,194 @@ TEST(DeepUmPipeline, InvalidationFlagReachesDriver)
     w.launch("more", 3, {b0 + 8, b0 + 9});
     EXPECT_GT(w.stats.get("uvm.invalidatedBlocks"), 0u);
     EXPECT_EQ(w.stats.get("uvm.evictedBlocks"), 0u);
+}
+
+// ----------------------------------------------------- eviction policy
+
+/** DeepUM with prefetching and pre-eviction off: holds are set by
+ * hand, and nothing but the tests pick victims. */
+struct PolicyWorld : DeepUmWorld {
+    PolicyWorld() : DeepUmWorld(passive()) {}
+
+    static DeepUmConfig
+    passive()
+    {
+        DeepUmConfig c;
+        c.prefetch = false;
+        c.preevict = false;
+        return c;
+    }
+
+    void
+    hold(mem::BlockId b, bool on)
+    {
+        drv.setHeld(drv.store().find(b), on);
+    }
+
+    mem::BlockId
+    pick(bool demand)
+    {
+        return policy.pickVictim(drv, demand);
+    }
+
+    DeepUmPolicy policy{dum->prefetcher()};
+};
+
+TEST(DeepUmPolicy, SkipsHeldBlocksInMigrationOrder)
+{
+    PolicyWorld w;
+    mem::BlockId b0 = mem::blockOf(w.reg(6));
+    w.launch("fill", 1, {b0, b0 + 1, b0 + 2, b0 + 3, b0 + 4, b0 + 5});
+    std::vector<mem::BlockId> lru;
+    for (mem::BlockId b : w.drv.lruOrder())
+        lru.push_back(b);
+    ASSERT_EQ(lru, (std::vector<mem::BlockId>{b0, b0 + 1, b0 + 2, b0 + 3,
+                                              b0 + 4, b0 + 5}));
+    EXPECT_EQ(w.pick(false), b0);
+    w.hold(b0, true);
+    w.hold(b0 + 1, true);
+    EXPECT_EQ(w.pick(false), b0 + 2);
+    EXPECT_EQ(w.pick(true), b0 + 2);
+    w.hold(b0 + 2, true);
+    EXPECT_EQ(w.pick(false), b0 + 3);
+    w.hold(b0 + 1, false);
+    EXPECT_EQ(w.pick(false), b0 + 1);
+}
+
+TEST(DeepUmPolicy, DemandFallsBackWhenEverythingIsHeld)
+{
+    PolicyWorld w;
+    mem::BlockId b0 = mem::blockOf(w.reg(4));
+    w.launch("fill", 1, {b0, b0 + 1, b0 + 2, b0 + 3});
+    for (mem::BlockId b = b0; b != b0 + 4; ++b)
+        w.hold(b, true);
+    // A prefetch or pre-eviction would rather drop than evict data
+    // predicted useful; a demand fault must make progress.
+    EXPECT_EQ(w.pick(false), uvm::kNoBlock);
+    EXPECT_EQ(w.pick(true), b0);
+    w.hold(b0 + 2, false);
+    EXPECT_EQ(w.pick(false), b0 + 2);
+    EXPECT_EQ(w.pick(true), b0 + 2);
+}
+
+/** Picks victims the moment @p target's prefetch lands. */
+struct PrefetchLandingProbe : uvm::DriverListener {
+    PolicyWorld *w = nullptr;
+    mem::BlockId target = uvm::kNoBlock;
+    mem::BlockId other = uvm::kNoBlock; ///< held for the second pick
+    bool pinnedResident = false;
+    mem::BlockId nonDemand = 0, nonDemandAllHeld = 0, demandAllHeld = 0;
+
+    void
+    onBlockMigrated(mem::BlockId b, bool was_prefetch) override
+    {
+        if (b != target || !was_prefetch)
+            return;
+        pinnedResident = w->drv.isPinned(b) && w->drv.isResident(b);
+        nonDemand = w->pick(false);
+        w->hold(other, true);
+        nonDemandAllHeld = w->pick(false);
+        demandAllHeld = w->pick(true);
+        w->hold(other, false);
+    }
+};
+
+TEST(DeepUmPolicy, PinnedResidentBlockIsNeverAVictim)
+{
+    PolicyWorld w;
+    mem::BlockId b0 = mem::blockOf(w.reg(4));
+    w.launch("warm", 1, {b0, b0 + 1});
+    w.hold(b0, true);
+    PrefetchLandingProbe probe;
+    probe.w = &w;
+    probe.target = b0 + 2;
+    probe.other = b0 + 1;
+    w.drv.addListener(&probe);
+    // The prefetch is in flight when the kernel faults on the same
+    // block: the fault pins it, then the prefetch lands it while the
+    // demand command is still queued — resident *and* pinned, and
+    // the newest block in the LRU.
+    ASSERT_TRUE(w.drv.enqueuePrefetch(b0 + 2, 0));
+    w.launch("use", 2, {b0 + 2});
+    ASSERT_TRUE(probe.pinnedResident);
+    EXPECT_EQ(probe.nonDemand, b0 + 1);
+    EXPECT_EQ(probe.nonDemandAllHeld, uvm::kNoBlock);
+    EXPECT_EQ(probe.demandAllHeld, b0);
+    EXPECT_FALSE(w.drv.isPinned(b0 + 2)); // the fault resolved
+    EXPECT_EQ(w.pick(true), b0 + 1);
+}
+
+/** The linear walk DeepUmPolicy replaced, over the prefetcher. */
+mem::BlockId
+referenceVictim(const uvm::Driver &drv, const Prefetcher &pf, bool demand)
+{
+    for (mem::BlockId b : drv.lruOrder())
+        if (!drv.isPinned(b) && !pf.isProtected(b))
+            return b;
+    if (!demand)
+        return uvm::kNoBlock;
+    for (mem::BlockId b : drv.lruOrder())
+        if (!drv.isPinned(b))
+            return b;
+    return uvm::kNoBlock;
+}
+
+/** Checks the policy against the reference walk at every residency
+ * change, and the store's hold bits against the protected set. */
+struct PolicyAgreement : uvm::DriverListener {
+    const uvm::Driver *drv = nullptr;
+    const Prefetcher *pf = nullptr;
+    DeepUmPolicy *policy = nullptr;
+    std::uint64_t checks = 0;
+    std::uint64_t protectedSkips = 0;
+
+    void
+    check()
+    {
+        for (bool demand : {false, true}) {
+            mem::BlockId want = referenceVictim(*drv, *pf, demand);
+            ASSERT_EQ(policy->pickVictim(*drv, demand), want);
+            // The walk stepped over the LRU head (held or pinned).
+            if (drv->lruOrder().size() != 0 &&
+                want != *drv->lruOrder().begin())
+                ++protectedSkips;
+        }
+        for (mem::BlockId b : drv->lruOrder())
+            ASSERT_EQ(drv->blockInfo(b).held, pf->isProtected(b));
+        ++checks;
+    }
+
+    void
+    onBlockMigrated(mem::BlockId, bool) override
+    {
+        check();
+    }
+    void
+    onBlockEvicted(mem::BlockId, bool) override
+    {
+        check();
+    }
+};
+
+TEST(DeepUmPolicy, AgreesWithLinearWalkOverALearnedLoop)
+{
+    DeepUmConfig cfg;
+    cfg.preevictWatermarkPages = mem::kPagesPerBlock;
+    cfg.lookaheadN = 2;
+    DeepUmWorld w(cfg);
+    mem::BlockId b0 = mem::blockOf(w.reg(12));
+    DeepUmPolicy policy(w.dum->prefetcher());
+    PolicyAgreement agree;
+    agree.drv = &w.drv;
+    agree.pf = &w.dum->prefetcher();
+    agree.policy = &policy;
+    w.drv.addListener(&agree);
+    for (int i = 0; i < 6; ++i)
+        for (int k = 0; k < 6; ++k)
+            w.launch("k" + std::to_string(k), k,
+                     {b0 + 2 * k, b0 + 2 * k + 1});
+    EXPECT_GT(agree.checks, 100u);
+    EXPECT_GT(agree.protectedSkips, 10u);
 }
 
 } // namespace

@@ -241,6 +241,20 @@ TEST_F(ValidateDeath, DanglingChainStartIsCaught)
                  "chain start points at dead block");
 }
 
+TEST_F(ValidateDeath, StrayHoldBitIsCaught)
+{
+    Stack s;
+    ASSERT_TRUE(s.train("mobilenet", 16, 1));
+    // Hold a block the prefetcher never protected: the victim index
+    // would skip it, so the hold-bit mirror audit must trip.
+    ASSERT_NE(s.driver.lruOrder().size(), 0u);
+    mem::BlockId b = *s.driver.lruOrder().begin();
+    ASSERT_FALSE(s.deepum->prefetcher().isProtected(b));
+    s.driver.setHeld(s.driver.store().find(b), true);
+    EXPECT_DEATH(s.validator.runAll("tampered"),
+                 "hold bit 1 disagrees with its protection refcount 0");
+}
+
 // ---------------------------------------------------------------------
 // DEEPUM_VALIDATE builds: the harness wires the hooks itself and
 // exports proof that they fired.
