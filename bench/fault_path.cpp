@@ -7,27 +7,15 @@
  *  1. End-to-end: a bare Driver + GpuEngine stack runs a sliding
  *     window of kernels over more blocks than the GPU holds, so every
  *     kernel faults, migrates, and evicts. Reports simulated page
- *     faults handled per wall-clock second — the number the dense
- *     BlockStore rewrite targets (the whole Figure-3 pipeline probes
- *     block metadata on every drain, dedupe, evict, and map step).
+ *     faults handled per wall-clock second (the whole Figure-3
+ *     pipeline probes block metadata on every drain, dedupe, evict,
+ *     and map step).
  *
  *  2. Correlation-heavy end-to-end: the same oversubscribed stack
  *     with the full DeepUM machinery attached and a *repeating*
  *     kernel sequence, so the correlator records successor pairs on
  *     every fault batch and the prefetcher chain-walks the block
- *     correlation tables continuously — the workload the dense
- *     correlation-engine rewrite targets. Uses only the stable DeepUm
- *     facade, so the same source builds against the pre-rewrite core
- *     to take the baseline.
- *
- *  3. Store-vs-map A/B: the same mixed probe/LRU-touch/flag-flip op
- *     sequence replayed against the production uvm::BlockStore and
- *     against the pre-rewrite bookkeeping (std::unordered_map records
- *     + std::list LRU + a BlockId->iterator side map), with a
- *     checksum proving both sides observe identical state. This leg
- *     compiles only in trees that have uvm/block_store.hh, so the
- *     same source file builds against the pre-rewrite tree to take
- *     the end-to-end baseline.
+ *     correlation tables continuously.
  *
  * --json writes machine-readable perf numbers (plus host_cores: the
  * figures are wall-clock and meaningless to compare across machines
@@ -37,15 +25,8 @@
  *
  * Usage:
  *   fault_path [--kernels N] [--blocks N] [--gpu-blocks N]
- *              [--corr-kernels N] [--micro-ops N] [--json file]
+ *              [--corr-kernels N] [--json file]
  *              [--stats-json file] [--corr-stats-json file]
- *              [--service-threads N] [--sm-batch N]
- *
- * --service-threads shards fault-batch servicing across N host
- * threads (uvm::FaultShardPool); the stats dumps are byte-identical
- * at any value, which CI checks by diffing the --stats-json output
- * across thread counts. --sm-batch raises the modelled SM fault-batch
- * ceiling so batches get big enough for the shards to matter.
  */
 
 #include <chrono>
@@ -53,10 +34,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <list>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "bench/common.hh"
@@ -67,14 +46,8 @@
 #include "gpu/pcie_link.hh"
 #include "mem/frame_pool.hh"
 #include "sim/event_queue.hh"
-#include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "uvm/driver.hh"
-
-#if __has_include("uvm/block_store.hh")
-#include "uvm/block_store.hh"
-#define FAULT_PATH_HAVE_BLOCK_STORE 1
-#endif
 
 using namespace deepum;
 using namespace deepum::bench;
@@ -111,19 +84,16 @@ struct EndToEnd {
  */
 EndToEnd
 runEndToEnd(std::uint64_t kernels, std::uint64_t totalBlocks,
-            std::uint64_t gpuBlocks, const std::string &statsJson,
-            unsigned serviceThreads, unsigned smBatch)
+            std::uint64_t gpuBlocks, const std::string &statsJson)
 {
     sim::EventQueue eq;
     sim::StatSet stats;
     gpu::TimingConfig cfg;
-    cfg.smBatch = smBatch;
     gpu::FaultBuffer fb;
     gpu::PcieLink link{cfg};
     mem::FramePool frames{gpuBlocks * mem::kPagesPerBlock};
     gpu::GpuEngine engine{eq, cfg, fb, stats};
     uvm::Driver drv{eq, cfg, fb, link, frames, stats};
-    drv.setServiceThreads(serviceThreads);
     engine.setBackend(&drv);
     drv.setEngine(&engine);
 
@@ -204,19 +174,16 @@ struct CorrHeavy {
  */
 CorrHeavy
 runCorrHeavy(std::uint64_t kernels, std::uint64_t totalBlocks,
-             std::uint64_t gpuBlocks, const std::string &statsJson,
-             unsigned serviceThreads, unsigned smBatch)
+             std::uint64_t gpuBlocks, const std::string &statsJson)
 {
     sim::EventQueue eq;
     sim::StatSet stats;
     gpu::TimingConfig cfg;
-    cfg.smBatch = smBatch;
     gpu::FaultBuffer fb;
     gpu::PcieLink link{cfg};
     mem::FramePool frames{gpuBlocks * mem::kPagesPerBlock};
     gpu::GpuEngine engine{eq, cfg, fb, stats};
     uvm::Driver drv{eq, cfg, fb, link, frames, stats};
-    drv.setServiceThreads(serviceThreads);
     engine.setBackend(&drv);
     drv.setEngine(&engine);
     core::DeepUmConfig dcfg;
@@ -268,9 +235,6 @@ runCorrHeavy(std::uint64_t kernels, std::uint64_t totalBlocks,
     r.eventsExecuted = eq.executed();
     r.eventsNear = eq.nearScheduled();
     r.eventsOverflow = eq.overflowScheduled();
-    r.eventsExecuted = eq.executed();
-    r.eventsNear = eq.nearScheduled();
-    r.eventsOverflow = eq.overflowScheduled();
     r.faultsPerSec = r.wallSec > 0
                          ? static_cast<double>(r.pageFaults) / r.wallSec
                          : 0.0;
@@ -286,141 +250,6 @@ runCorrHeavy(std::uint64_t kernels, std::uint64_t totalBlocks,
     return r;
 }
 
-#ifdef FAULT_PATH_HAVE_BLOCK_STORE
-
-/** A/B result: identical op streams on both structures. */
-struct Micro {
-    double storeOpsPerSec = 0;
-    double mapOpsPerSec = 0;
-    double speedup = 0;
-    bool checksumMatch = false;
-};
-
-constexpr std::uint64_t kMicroRanges = 8;
-constexpr std::uint64_t kMicroBlocksPerRange = 512;
-
-/** Base block of micro range @p r (ranges deliberately disjoint). */
-constexpr mem::BlockId
-microRangeBase(std::uint64_t r)
-{
-    return mem::blockOf(mem::kUmBase) + r * 4 * kMicroBlocksPerRange;
-}
-
-/**
- * The op mix, mirroring the fault path: bursts of consecutive blocks
- * (a fault batch groups one kernel's window, so metadata probes are
- * highly local), each op 70% probe-and-read (drain dedupe, residency
- * checks), 15% LRU re-queue (migration completes), 15% probe-and-flip
- * (pin/unpin). Returns a state checksum.
- */
-template <typename Probe, typename Touch, typename Flip>
-std::uint64_t
-runOps(std::uint64_t ops, Probe probe, Touch touch, Flip flip)
-{
-    constexpr std::uint64_t kBurst = 64;
-    sim::Rng rng(7);
-    std::uint64_t checksum = 0;
-    for (std::uint64_t i = 0; i < ops;) {
-        mem::BlockId start =
-            microRangeBase(rng.below(kMicroRanges)) +
-            rng.below(kMicroBlocksPerRange - kBurst);
-        for (std::uint64_t k = 0; k < kBurst && i < ops; ++k, ++i) {
-            mem::BlockId b = start + k;
-            std::uint64_t kind = rng.below(100);
-            if (kind < 70)
-                checksum += probe(b);
-            else if (kind < 85)
-                checksum += touch(b);
-            else
-                checksum += flip(b);
-        }
-    }
-    return checksum;
-}
-
-Micro
-runMicro(std::uint64_t ops)
-{
-    // Production structure: the dense BlockStore.
-    uvm::BlockStore store;
-    for (std::uint64_t r = 0; r < kMicroRanges; ++r) {
-        uvm::BlockIndex base = store.registerRun(
-            microRangeBase(r),
-            microRangeBase(r) + kMicroBlocksPerRange);
-        for (std::uint64_t j = 0; j < kMicroBlocksPerRange; ++j) {
-            uvm::BlockIndex i =
-                base + static_cast<uvm::BlockIndex>(j);
-            store.at(i).loc = uvm::Loc::Device;
-            store.lruPushBack(i);
-        }
-    }
-
-    // Pre-rewrite structure: hash map + list LRU + iterator side map.
-    std::unordered_map<mem::BlockId, uvm::BlockInfo> blocks;
-    std::list<mem::BlockId> lru;
-    std::unordered_map<mem::BlockId, std::list<mem::BlockId>::iterator>
-        lruPos;
-    for (std::uint64_t r = 0; r < kMicroRanges; ++r) {
-        for (std::uint64_t j = 0; j < kMicroBlocksPerRange; ++j) {
-            mem::BlockId b = microRangeBase(r) + j;
-            blocks[b].loc = uvm::Loc::Device;
-            lruPos[b] = lru.insert(lru.end(), b);
-        }
-    }
-
-    auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t storeSum = runOps(
-        ops,
-        [&](mem::BlockId b) -> std::uint64_t {
-            uvm::BlockIndex i = store.find(b);
-            return static_cast<std::uint64_t>(store.at(i).loc) + b;
-        },
-        [&](mem::BlockId b) -> std::uint64_t {
-            uvm::BlockIndex i = store.find(b);
-            store.lruErase(i);
-            store.lruPushBack(i);
-            return store.idAt(store.lruTail());
-        },
-        [&](mem::BlockId b) -> std::uint64_t {
-            uvm::BlockIndex i = store.find(b);
-            store.setPinned(i, !store.at(i).pinned);
-            return store.at(i).pinned ? b : 0;
-        });
-    double storeSec = secondsSince(t0);
-
-    t0 = std::chrono::steady_clock::now();
-    std::uint64_t mapSum = runOps(
-        ops,
-        [&](mem::BlockId b) -> std::uint64_t {
-            return static_cast<std::uint64_t>(blocks.find(b)->second.loc) +
-                   b;
-        },
-        [&](mem::BlockId b) -> std::uint64_t {
-            auto it = lruPos.find(b);
-            lru.erase(it->second);
-            it->second = lru.insert(lru.end(), b);
-            return lru.back();
-        },
-        [&](mem::BlockId b) -> std::uint64_t {
-            auto &bi = blocks.find(b)->second;
-            bi.pinned = !bi.pinned;
-            return bi.pinned ? b : 0;
-        });
-    double mapSec = secondsSince(t0);
-
-    Micro m;
-    m.checksumMatch = storeSum == mapSum;
-    m.storeOpsPerSec =
-        storeSec > 0 ? static_cast<double>(ops) / storeSec : 0.0;
-    m.mapOpsPerSec =
-        mapSec > 0 ? static_cast<double>(ops) / mapSec : 0.0;
-    m.speedup =
-        m.mapOpsPerSec > 0 ? m.storeOpsPerSec / m.mapOpsPerSec : 0.0;
-    return m;
-}
-
-#endif // FAULT_PATH_HAVE_BLOCK_STORE
-
 } // namespace
 
 int
@@ -430,9 +259,6 @@ main(int argc, char **argv)
     std::uint64_t corrKernels = 2048;
     std::uint64_t totalBlocks = 1024;
     std::uint64_t gpuBlocks = 256;
-    std::uint64_t microOps = 20'000'000;
-    unsigned serviceThreads = 1;
-    unsigned smBatch = 0; // 0 = the TimingConfig default
     std::string json, statsJson, corrStatsJson;
 
     for (int i = 1; i < argc; ++i) {
@@ -445,17 +271,6 @@ main(int argc, char **argv)
             totalBlocks = std::strtoull(argv[++i], nullptr, 10);
         } else if (a == "--gpu-blocks" && i + 1 < argc) {
             gpuBlocks = std::strtoull(argv[++i], nullptr, 10);
-        } else if (a == "--micro-ops" && i + 1 < argc) {
-            microOps = std::strtoull(argv[++i], nullptr, 10);
-        } else if (a == "--service-threads" && i + 1 < argc) {
-            serviceThreads = static_cast<unsigned>(
-                std::strtoull(argv[++i], nullptr, 10));
-            if (serviceThreads == 0)
-                serviceThreads = std::max(
-                    1u, std::thread::hardware_concurrency());
-        } else if (a == "--sm-batch" && i + 1 < argc) {
-            smBatch = static_cast<unsigned>(
-                std::strtoull(argv[++i], nullptr, 10));
         } else if (a == "--json" && i + 1 < argc) {
             json = argv[++i];
         } else if (a == "--stats-json" && i + 1 < argc) {
@@ -466,15 +281,12 @@ main(int argc, char **argv)
             std::fprintf(
                 stderr,
                 "usage: fault_path [--kernels N] [--blocks N] "
-                "[--gpu-blocks N] [--corr-kernels N] [--micro-ops N] "
-                "[--service-threads N] [--sm-batch N] "
+                "[--gpu-blocks N] [--corr-kernels N] "
                 "[--json file] [--stats-json file] "
                 "[--corr-stats-json file]\n");
             return 2;
         }
     }
-    if (smBatch == 0)
-        smBatch = gpu::TimingConfig{}.smBatch;
     if (gpuBlocks >= totalBlocks) {
         std::fprintf(stderr,
                      "error: --gpu-blocks must be < --blocks (no "
@@ -486,10 +298,8 @@ main(int argc, char **argv)
 
     banner("fault-path throughput (full Figure-3 pipeline)");
     EndToEnd e = runEndToEnd(kernels, totalBlocks, gpuBlocks,
-                             statsJson, serviceThreads, smBatch);
+                             statsJson);
     std::printf("host cores           %u\n", cores);
-    std::printf("service threads      %u\n", serviceThreads);
-    std::printf("sm batch             %u\n", smBatch);
     std::printf("kernels              %llu\n",
                 static_cast<unsigned long long>(e.kernels));
     std::printf("page faults          %llu\n",
@@ -503,7 +313,7 @@ main(int argc, char **argv)
     if (corrKernels > 0) {
         banner("correlation-heavy fault path (DeepUM attached)");
         c = runCorrHeavy(corrKernels, totalBlocks, gpuBlocks,
-                         corrStatsJson, serviceThreads, smBatch);
+                         corrStatsJson);
         std::printf("kernels              %llu\n",
                     static_cast<unsigned long long>(c.kernels));
         std::printf("page faults          %llu\n",
@@ -530,22 +340,6 @@ main(int argc, char **argv)
                     nearFrac);
     }
 
-#ifdef FAULT_PATH_HAVE_BLOCK_STORE
-    banner("block metadata ops (BlockStore vs unordered_map+list)");
-    Micro m = runMicro(microOps);
-    std::printf("map ops/sec          %.3e\n", m.mapOpsPerSec);
-    std::printf("store ops/sec        %.3e\n", m.storeOpsPerSec);
-    std::printf("speedup              %.2fx\n", m.speedup);
-    std::printf("state agreement      %s\n",
-                m.checksumMatch ? "identical (checksum match)"
-                                : "MISMATCH");
-    if (!m.checksumMatch) {
-        std::fprintf(stderr,
-                     "error: store and map disagree on final state\n");
-        return 1;
-    }
-#endif
-
     if (!json.empty()) {
         std::ofstream os(json);
         if (!os) {
@@ -554,8 +348,6 @@ main(int argc, char **argv)
         }
         os << "{\n"
            << "  \"host_cores\": " << cores << ",\n"
-           << "  \"service_threads\": " << serviceThreads << ",\n"
-           << "  \"sm_batch\": " << smBatch << ",\n"
            << "  \"kernels\": " << e.kernels << ",\n"
            << "  \"total_blocks\": " << totalBlocks << ",\n"
            << "  \"gpu_blocks\": " << gpuBlocks << ",\n"
@@ -578,14 +370,6 @@ main(int argc, char **argv)
                << ", \"wall_sec\": " << c.wallSec
                << ", \"faults_per_sec\": " << c.faultsPerSec << "}";
         }
-#ifdef FAULT_PATH_HAVE_BLOCK_STORE
-        os << ",\n"
-           << "  \"micro\": {\"ops\": " << microOps
-           << ", \"map_ops_per_sec\": " << m.mapOpsPerSec
-           << ", \"store_ops_per_sec\": " << m.storeOpsPerSec
-           << ", \"speedup\": " << m.speedup << ", \"checksum_match\": "
-           << (m.checksumMatch ? "true" : "false") << "}";
-#endif
         os << "\n}\n";
     }
     return 0;

@@ -5,20 +5,14 @@
  * the SPSC queues, and driver residency checks — the operations the
  * paper argues are cheap enough to hide in fault handling — plus the
  * simulator's own hot core: event-queue push/pop and the inline
- * event callable vs std::function — and the block-metadata
- * structures: the dense BlockStore range probe vs the pre-rewrite
- * unordered_map::find, the intrusive slab LRU vs the former
- * std::list + BlockId->iterator side map, and the victim index's
- * pick cost swept over the protected fraction.
+ * event callable — and the block-metadata structures: the dense
+ * BlockStore range probe, the intrusive slab LRU requeue, and the
+ * victim index's pick cost swept over the protected fraction.
  */
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "core/block_correlation_table.hh"
@@ -27,7 +21,6 @@
 #include "sim/event_queue.hh"
 #include "sim/inline_fn.hh"
 #include "sim/rng.hh"
-#include "sim/shard_workers.hh"
 #include "sim/spsc_queue.hh"
 #include "uvm/block_store.hh"
 #include "uvm/driver.hh"
@@ -217,10 +210,8 @@ BM_EventQueueScheduleStep(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueScheduleStep);
 
-// The event-callable comparison: a 24-byte capture fits InlineFn's
-// buffer but exceeds libstdc++'s 16-byte std::function SBO, so the
-// std::function variant pays an allocation per event — the cost the
-// rewrite removed from every schedule().
+// The event callable: a 24-byte capture fits InlineFn's buffer, so
+// constructing and invoking one allocates nothing.
 
 void
 BM_InlineFnConstructInvoke(benchmark::State &state)
@@ -235,20 +226,6 @@ BM_InlineFnConstructInvoke(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_InlineFnConstructInvoke);
-
-void
-BM_StdFunctionConstructInvoke(benchmark::State &state)
-{
-    std::uint64_t a = 1, b = 2, c = 3;
-    for (auto _ : state) {
-        std::function<void()> fn(
-            [pa = &a, pb = &b, pc = &c] { *pa += *pb + *pc; });
-        fn();
-    }
-    benchmark::DoNotOptimize(a);
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_StdFunctionConstructInvoke);
 
 // Block-metadata lookups. The driver probes per fault-buffer entry,
 // per residency check, and per LRU step; state.range(0) is the
@@ -287,29 +264,8 @@ BM_BlockStoreProbe(benchmark::State &state)
 }
 BENCHMARK(BM_BlockStoreProbe)->Arg(1)->Arg(8)->Arg(64);
 
-void
-BM_UnorderedMapProbe(benchmark::State &state)
-{
-    const std::uint64_t ranges = state.range(0), per = 512;
-    std::unordered_map<mem::BlockId, uvm::BlockInfo> blocks;
-    for (std::uint64_t r = 0; r < ranges; ++r) {
-        mem::BlockId base = mem::blockOf(mem::kUmBase) + r * 4 * per;
-        for (std::uint64_t j = 0; j < per; ++j)
-            blocks[base + j];
-    }
-    const auto addrs = blockAddrs(ranges, per);
-    std::uint64_t n = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(blocks.find(addrs[++n & 8191]));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_UnorderedMapProbe)->Arg(1)->Arg(8)->Arg(64);
-
-// LRU requeue (a migration completing moves its block to the back).
-// The intrusive version is two index writes in records the probe
-// already touched; the pre-rewrite version pays a hash lookup into
-// the side map plus list-node churn.
+// LRU requeue (a migration completing moves its block to the back):
+// two index writes in records the probe already touched.
 
 void
 BM_IntrusiveLruRequeue(benchmark::State &state)
@@ -331,28 +287,6 @@ BM_IntrusiveLruRequeue(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_IntrusiveLruRequeue);
-
-void
-BM_ListMapLruRequeue(benchmark::State &state)
-{
-    const std::uint64_t per = 4096;
-    mem::BlockId base = mem::blockOf(mem::kUmBase);
-    std::list<mem::BlockId> lru;
-    std::unordered_map<mem::BlockId, std::list<mem::BlockId>::iterator>
-        pos;
-    for (std::uint64_t j = 0; j < per; ++j)
-        pos[base + j] = lru.insert(lru.end(), base + j);
-    sim::Rng rng(12);
-    for (auto _ : state) {
-        mem::BlockId b = base + rng.below(per);
-        auto it = pos.find(b);
-        lru.erase(it->second);
-        it->second = lru.insert(lru.end(), b);
-    }
-    benchmark::DoNotOptimize(lru.back());
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ListMapLruRequeue);
 
 // Victim pick under protection: 4096 resident blocks, the argument's
 // percentage of them held (DeepUM's protected set). Each iteration
@@ -388,7 +322,7 @@ BM_PickVictim(benchmark::State &state)
 BENCHMARK(BM_PickVictim)->Arg(0)->Arg(50)->Arg(90)->Arg(99);
 
 // --------------------------------------------------------------------
-// Fault-servicing queues and shard dispatch (PR 10)
+// Fault-servicing queues
 // --------------------------------------------------------------------
 
 /**
@@ -457,35 +391,5 @@ BM_PrefetchQueueDrain(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * burst);
 }
 BENCHMARK(BM_PrefetchQueueDrain)->Arg(8)->Arg(64)->Arg(256);
-
-struct ShardNopCtx {
-    std::atomic<std::uint64_t> sink{0};
-};
-
-void
-shardNopJob(void *ctx, unsigned shard, unsigned)
-{
-    static_cast<ShardNopCtx *>(ctx)->sink.fetch_add(
-        shard, std::memory_order_relaxed);
-}
-
-/**
- * Pure fork/join dispatch cost of ShardWorkers::run with an empty
- * job body — the fixed overhead a fault batch must amortize before
- * sharded preprocessing wins. Arg = shard count; 1 is the inline
- * (no-thread) path and is the baseline the kMinParallelEntries
- * threshold is calibrated against.
- */
-void
-BM_ShardWorkersRoundTrip(benchmark::State &state)
-{
-    sim::ShardWorkers team(static_cast<unsigned>(state.range(0)));
-    ShardNopCtx ctx;
-    for (auto _ : state)
-        team.run(&shardNopJob, &ctx);
-    benchmark::DoNotOptimize(ctx.sink.load());
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ShardWorkersRoundTrip)->Arg(1)->Arg(2)->Arg(4);
 
 } // namespace

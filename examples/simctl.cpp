@@ -24,11 +24,13 @@
  */
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,6 +44,12 @@
 using namespace deepum;
 
 namespace {
+
+/** Bound for the flags that fill 32-bit fields. */
+constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+/** Bound for --gpu-mib/--host-mib: the byte count must fit 64 bits. */
+constexpr std::uint64_t kMaxMib =
+    std::numeric_limits<std::uint64_t>::max() / sim::kMiB;
 
 [[noreturn]] void
 usage()
@@ -61,8 +69,7 @@ usage()
         "              [--ledger] [--report <file|->] "
         "[--thrash-window N]\n"
         "              [--timeseries <file>] [--sample-interval N]\n"
-        "              [--batches N,N,...] [--jobs N] "
-        "[--service-threads N]\n"
+        "              [--batches N,N,...] [--jobs N]\n"
         "\n"
         "  --trace <file>       write a Chrome/Perfetto trace of the "
         "run\n"
@@ -80,11 +87,7 @@ usage()
         "  --batches N,N,...    sweep several batch sizes, one row "
         "each\n"
         "  --jobs N             threads for the sweep (0 = one per "
-        "core)\n"
-        "  --service-threads N  shards for fault-batch servicing "
-        "(0 = one\n"
-        "                       per core; stats are byte-identical "
-        "at any N)\n");
+        "core)\n");
     std::exit(2);
 }
 
@@ -99,20 +102,43 @@ strArg(int argc, char **argv, int &i)
     return argv[++i];
 }
 
+/**
+ * Parse decimal @p s into @p out. False on a non-digit start (so a
+ * "-1" never wraps), trailing junk, or a value above @p max.
+ */
+bool
+parseNum(const char *s, const char *end_at, std::uint64_t max,
+         std::uint64_t &out)
+{
+    if (*s < '0' || *s > '9')
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtoull(s, &end, 10);
+    return end == end_at && errno != ERANGE && out <= max;
+}
+
+/**
+ * The number after flag argv[i], at most @p max — the largest value
+ * the flag's destination holds, so nothing narrows or wraps.
+ */
 std::uint64_t
-numArg(int argc, char **argv, int &i)
+numArg(int argc, char **argv, int &i,
+       std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
     if (i + 1 >= argc) {
         std::fprintf(stderr, "simctl: %s requires an argument\n",
                      argv[i]);
         usage();
     }
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(argv[++i], &end, 10);
-    if (end == argv[i] || *end != '\0') {
+    const char *s = argv[++i];
+    std::uint64_t v = 0;
+    if (!parseNum(s, s + std::strlen(s), max, v)) {
         std::fprintf(stderr,
-                     "simctl: %s expects a number, got '%s'\n",
-                     argv[i - 1], argv[i]);
+                     "simctl: %s expects a number in [0, %llu], got "
+                     "'%s'\n",
+                     argv[i - 1], static_cast<unsigned long long>(max),
+                     s);
         usage();
     }
     return v;
@@ -164,10 +190,10 @@ main(int argc, char **argv)
                 std::size_t comma = list.find(',', pos);
                 if (comma == std::string::npos)
                     comma = list.size();
-                char *end = nullptr;
-                const char *tok = list.c_str() + pos;
-                std::uint64_t v = std::strtoull(tok, &end, 10);
-                if (end != list.c_str() + comma || comma == pos) {
+                std::uint64_t v = 0;
+                if (!parseNum(list.c_str() + pos, list.c_str() + comma,
+                              std::numeric_limits<std::uint64_t>::max(),
+                              v)) {
                     std::fprintf(stderr,
                                  "simctl: --batches expects a "
                                  "comma-separated number list\n");
@@ -177,40 +203,43 @@ main(int argc, char **argv)
                 pos = comma + 1;
             }
         } else if (a == "--jobs") {
-            jobs = static_cast<unsigned>(numArg(argc, argv, i));
+            jobs = static_cast<unsigned>(
+                numArg(argc, argv, i, kU32Max));
             if (jobs == 0)
                 jobs = std::max(
-                    1u, std::thread::hardware_concurrency());
-        } else if (a == "--service-threads") {
-            cfg.serviceThreads =
-                static_cast<unsigned>(numArg(argc, argv, i));
-            if (cfg.serviceThreads == 0)
-                cfg.serviceThreads = std::max(
                     1u, std::thread::hardware_concurrency());
         } else if (a == "--system") {
             system = strArg(argc, argv, i);
         } else if (a == "--gpu-mib") {
-            cfg.gpuMemBytes = numArg(argc, argv, i) * sim::kMiB;
+            cfg.gpuMemBytes =
+                numArg(argc, argv, i, kMaxMib) * sim::kMiB;
         } else if (a == "--host-mib") {
-            cfg.hostMemBytes = numArg(argc, argv, i) * sim::kMiB;
+            cfg.hostMemBytes =
+                numArg(argc, argv, i, kMaxMib) * sim::kMiB;
         } else if (a == "--iters") {
             cfg.iterations =
-                static_cast<std::uint32_t>(numArg(argc, argv, i));
+                static_cast<std::uint32_t>(
+                    numArg(argc, argv, i, kU32Max));
         } else if (a == "--warmup") {
             cfg.warmup =
-                static_cast<std::uint32_t>(numArg(argc, argv, i));
+                static_cast<std::uint32_t>(
+                    numArg(argc, argv, i, kU32Max));
         } else if (a == "--lookahead") {
             cfg.deepum.lookaheadN =
-                static_cast<std::uint32_t>(numArg(argc, argv, i));
+                static_cast<std::uint32_t>(
+                    numArg(argc, argv, i, kU32Max));
         } else if (a == "--rows") {
             cfg.deepum.table.numRows =
-                static_cast<std::uint32_t>(numArg(argc, argv, i));
+                static_cast<std::uint32_t>(
+                    numArg(argc, argv, i, kU32Max));
         } else if (a == "--assoc") {
             cfg.deepum.table.assoc =
-                static_cast<std::uint32_t>(numArg(argc, argv, i));
+                static_cast<std::uint32_t>(
+                    numArg(argc, argv, i, kU32Max));
         } else if (a == "--succs") {
             cfg.deepum.table.numSuccs =
-                static_cast<std::uint32_t>(numArg(argc, argv, i));
+                static_cast<std::uint32_t>(
+                    numArg(argc, argv, i, kU32Max));
         } else if (a == "--no-prefetch") {
             cfg.deepum.prefetch = false;
         } else if (a == "--no-preevict") {

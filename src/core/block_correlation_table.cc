@@ -6,7 +6,6 @@
 
 #include "sim/logging.hh"
 #include "sim/validate.hh"
-#include "uvm/fault_shards.hh"
 
 namespace deepum::core {
 
@@ -54,13 +53,6 @@ BlockCorrelationTable::find(mem::BlockId b) const
 void
 BlockCorrelationTable::record(mem::BlockId prev, mem::BlockId next)
 {
-    recordAt(prev, next, ++useClock_);
-}
-
-void
-BlockCorrelationTable::recordAt(mem::BlockId prev, mem::BlockId next,
-                                std::uint64_t clock)
-{
     Entry *e = find(prev);
     if (e == nullptr) {
         // Allocate a way: first invalid, otherwise LRU replacement.
@@ -75,12 +67,12 @@ BlockCorrelationTable::recordAt(mem::BlockId prev, mem::BlockId next,
                 victim = &base[w];
         }
         if (victim->tag != uvm::kNoBlock)
-            replacements_.fetch_add(1, std::memory_order_relaxed);
+            ++replacements_;
         victim->tag = prev;
         victim->succCount = 0;
         e = victim;
     }
-    e->lastUse = clock;
+    e->lastUse = ++useClock_;
     e->lastEpoch = epoch_;
 
     mem::BlockId *s = succsOf(static_cast<std::size_t>(e - entries_.data()));
@@ -97,103 +89,6 @@ BlockCorrelationTable::recordAt(mem::BlockId prev, mem::BlockId next,
     std::memmove(s + 1, s, keep * sizeof(mem::BlockId));
     s[0] = next;
     e->succCount = keep + 1;
-}
-
-// --------------------------------------------------------------------
-// Sharded batch paths (FaultShardPool borrowers)
-// --------------------------------------------------------------------
-
-/** Pairs below this apply serially: dispatch costs more than it saves. */
-static constexpr std::size_t kMinParallelPairs = 64;
-/** Way counts below this scan serially for the same reason. */
-static constexpr std::size_t kMinParallelWays = 1024;
-
-struct BlockCorrelationTable::RecordBatchCtx {
-    BlockCorrelationTable *table;
-    const RecordPair *pairs;
-    std::size_t n;
-    std::uint64_t clockBase;
-};
-
-void
-BlockCorrelationTable::recordShardJob(void *ctx, unsigned shard,
-                                      unsigned nshards)
-{
-    auto *c = static_cast<RecordBatchCtx *>(ctx);
-    BlockCorrelationTable *t = c->table;
-    for (std::size_t i = 0; i < c->n; ++i) {
-        const RecordPair &p = c->pairs[i];
-        if (t->setIndex(p.prev) % nshards != shard)
-            continue;
-        t->recordAt(p.prev, p.next, c->clockBase + i + 1);
-    }
-}
-
-void
-BlockCorrelationTable::recordBatch(const RecordPair *pairs,
-                                   std::size_t n,
-                                   uvm::FaultShardPool *pool)
-{
-    if (pool == nullptr || pool->shards() <= 1 ||
-        n < kMinParallelPairs) {
-        for (std::size_t i = 0; i < n; ++i)
-            record(pairs[i].prev, pairs[i].next);
-        return;
-    }
-    // Each shard applies its sets' pairs in batch order with the
-    // clock value the serial loop would have used, then the
-    // coordinator advances the clock past the whole batch.
-    RecordBatchCtx ctx{this, pairs, n, useClock_};
-    pool->run(&recordShardJob, &ctx);
-    useClock_ += n;
-}
-
-struct BlockCorrelationTable::FreshTagsCtx {
-    const BlockCorrelationTable *table;
-    uvm::FaultShardPool *pool;
-    std::uint32_t window;
-};
-
-void
-BlockCorrelationTable::freshShardJob(void *ctx, unsigned shard,
-                                     unsigned nshards)
-{
-    auto *c = static_cast<FreshTagsCtx *>(ctx);
-    const BlockCorrelationTable *t = c->table;
-    std::vector<mem::BlockId> &out = c->pool->scratch(shard);
-    const std::size_t ways = t->entries_.size();
-    const std::size_t lo = ways * shard / nshards;
-    const std::size_t hi = ways * (shard + 1) / nshards;
-    for (std::size_t i = lo; i < hi; ++i) {
-        const Entry &e = t->entries_[i];
-        if (e.tag == uvm::kNoBlock)
-            continue;
-        if (e.lastEpoch + c->window >= t->epoch_)
-            support::pushAmortized(out, e.tag);
-    }
-}
-
-void
-BlockCorrelationTable::freshTags(std::uint32_t window,
-                                 std::vector<mem::BlockId> &out,
-                                 uvm::FaultShardPool *pool) const
-{
-    if (pool == nullptr || pool->shards() <= 1 ||
-        entries_.size() < kMinParallelWays) {
-        freshTags(window, out);
-        return;
-    }
-    out.clear();
-    FreshTagsCtx ctx{this, pool, window};
-    pool->run(&freshShardJob, &ctx);
-    // Contiguous way ranges concatenated in shard order are exactly
-    // the serial slab-order scan.
-    for (unsigned s = 0; s < pool->shards(); ++s) {
-        std::vector<mem::BlockId> &sc = pool->scratch(s);
-        for (mem::BlockId b : sc)
-            support::pushAmortized(out, b);
-        sc.clear();
-    }
 }
 
 void

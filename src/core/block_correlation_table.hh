@@ -23,7 +23,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -39,21 +38,7 @@ namespace deepum::sim {
 class CheckContext;
 }
 
-namespace deepum::uvm {
-class FaultShardPool;
-}
-
 namespace deepum::core {
-
-/**
- * One (prev -> next) fault adjacency, the unit recordBatch() applies.
- * The correlator collects a batch's pairs into reusable scratch so
- * the table can shard their application across service threads.
- */
-struct RecordPair {
-    mem::BlockId prev = uvm::kNoBlock;
-    mem::BlockId next = uvm::kNoBlock;
-};
 
 /**
  * Borrowed, read-only view of one entry's successor list (MRU
@@ -101,30 +86,6 @@ class BlockCorrelationTable
      */
     DEEPUM_NOALLOC DEEPUM_INVALIDATES_VIEWS
     void record(mem::BlockId prev, mem::BlockId next);
-
-    /**
-     * Apply @p n record()s, sharding across @p pool's service
-     * threads when it is non-null, has more than one shard, and the
-     * batch is worth the dispatch. Shard s applies exactly the pairs
-     * whose *set* it owns (`setIndex(prev) % nshards == s`), in batch
-     * order, with the same use-clock value the serial loop would
-     * have assigned (base + i + 1) — sets are disjoint and lastUse
-     * is only ever compared within a set, so the final table state
-     * is byte-identical to the serial loop at any shard count.
-     */
-    DEEPUM_INVALIDATES_VIEWS
-    void recordBatch(const RecordPair *pairs, std::size_t n,
-                     uvm::FaultShardPool *pool);
-
-    /**
-     * Which shard of @p nshards owns @p b's set (tests and the
-     * shard-partition property checks).
-     */
-    DEEPUM_NOALLOC unsigned
-    recordShard(mem::BlockId b, unsigned nshards) const
-    {
-        return static_cast<unsigned>(setIndex(b) % nshards);
-    }
 
     /**
      * Successors of @p b, MRU first. Empty when @p b has no entry.
@@ -179,16 +140,6 @@ class BlockCorrelationTable
     DEEPUM_NOALLOC void freshTags(std::uint32_t window,
                                   std::vector<mem::BlockId> &out) const;
 
-    /**
-     * freshTags() with the scan sharded across @p pool's service
-     * threads (null pool or one shard falls back to the serial
-     * scan). Each shard scans a contiguous way range into its
-     * per-shard scratch; concatenating in shard order *is* slab
-     * order, so @p out is byte-identical to the serial form.
-     */
-    void freshTags(std::uint32_t window, std::vector<mem::BlockId> &out,
-                   uvm::FaultShardPool *pool) const;
-
     /** Convenience allocating form (tests). */
     std::vector<mem::BlockId> freshTags(std::uint32_t window) const;
 
@@ -241,16 +192,9 @@ class BlockCorrelationTable
      * warm-up is an MRU refresh; once the working set exceeds the
      * geometry, each conflict costs a replacement *and* destroys the
      * successor list the prefetcher would have walked (see the
-     * EXPERIMENTS.md geometry study). Relaxed-atomic because sharded
-     * recordBatch increments it from several shards; the total stays
-     * deterministic — the set partition makes each replacement event
-     * happen exactly once, only the increment order varies.
+     * EXPERIMENTS.md geometry study).
      */
-    std::uint64_t
-    replacements() const
-    {
-        return replacements_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t replacements() const { return replacements_; }
 
     /**
      * Audit structural invariants (sim/validate.hh): tags hash to
@@ -312,19 +256,6 @@ class BlockCorrelationTable
     Entry *find(mem::BlockId b);
     const Entry *find(mem::BlockId b) const;
 
-    /** record() body with an explicit use-clock value. */
-    DEEPUM_NOALLOC void recordAt(mem::BlockId prev, mem::BlockId next,
-                                 std::uint64_t clock);
-
-    // Shard-job bodies for recordBatch()/freshTags(pool); each shard
-    // touches only the sets / way range it owns (fault_shards.hh).
-    struct RecordBatchCtx;
-    DEEPUM_NOALLOC static void recordShardJob(void *ctx, unsigned shard,
-                                              unsigned nshards);
-    struct FreshTagsCtx;
-    static void freshShardJob(void *ctx, unsigned shard,
-                              unsigned nshards);
-
     /** Reset the way at slab index @p way to the empty state. */
     void
     resetWay(std::size_t way)
@@ -339,7 +270,7 @@ class BlockCorrelationTable
     mem::BlockId end_ = uvm::kNoBlock;
     std::uint64_t useClock_ = 0;
     /** Set-conflict LRU evictions (see replacements()). */
-    mutable std::atomic<std::uint64_t> replacements_{0};
+    std::uint64_t replacements_ = 0;
     std::uint32_t bestLen_ = 0;     ///< longest committed sequence
     std::uint32_t staleRejects_ = 0;
     std::uint32_t epoch_ = 0;       ///< executions with faults seen

@@ -246,10 +246,7 @@ Prefetcher::enterKernelTable(std::size_t slot)
     // Issue every live entry of the kernel's table, not only the
     // start component: blocks covered by prefetching stop faulting
     // and would otherwise fall out of the chain (see freshTags()).
-    // The full-slab scan is the dominant per-activation cost, so it
-    // borrows the driver's shard pool (serial when 1 shard).
-    bt->freshTags(cfg_.freshEpochWindow, freshScratch_,
-                  drv_.shardPool());
+    bt->freshTags(cfg_.freshEpochWindow, freshScratch_);
     for (mem::BlockId t : freshScratch_) {
         uvm::BlockIndex i = drv_.store().find(t);
         if (!markSeen(i))

@@ -21,8 +21,7 @@ BlockStore::findSlow(mem::BlockId b) const
     --it;
     if (b >= it->end)
         return kNoBlockIndex;
-    hot_.store(static_cast<std::size_t>(it - ranges_.begin()),
-               std::memory_order_relaxed);
+    hot_ = static_cast<std::size_t>(it - ranges_.begin());
     return it->base + static_cast<BlockIndex>(b - it->first);
 }
 
@@ -31,7 +30,7 @@ BlockStore::rangeContaining(mem::BlockId b) const
 {
     if (find(b) == kNoBlockIndex)
         return nullptr;
-    return &ranges_[hot_.load(std::memory_order_relaxed)];
+    return &ranges_[hot_];
 }
 
 BlockIndex
@@ -100,10 +99,8 @@ BlockStore::registerRun(mem::BlockId first, mem::BlockId end)
     it = std::lower_bound(
         ranges_.begin(), ranges_.end(), first,
         [](const Range &r, mem::BlockId v) { return r.first < v; });
-    hot_.store(static_cast<std::size_t>(
-                   ranges_.insert(it, Range{first, end, base}) -
-                   ranges_.begin()),
-               std::memory_order_relaxed);
+    hot_ = static_cast<std::size_t>(
+        ranges_.insert(it, Range{first, end, base}) - ranges_.begin());
 
     for (BlockIndex i = 0; i < n; ++i) {
         slab_[base + i] = BlockInfo{};
@@ -136,10 +133,8 @@ BlockStore::unregisterRun(mem::BlockId first, mem::BlockId end)
         slab_[base + i] = BlockInfo{};
         ids_[base + i] = kNoBlock;
     }
-    ranges_.erase(ranges_.begin() +
-                  static_cast<std::ptrdiff_t>(
-                      hot_.load(std::memory_order_relaxed)));
-    hot_.store(0, std::memory_order_relaxed);
+    ranges_.erase(ranges_.begin() + static_cast<std::ptrdiff_t>(hot_));
+    hot_ = 0;
     freeSlots(base, n);
     size_ -= n;
 }

@@ -29,7 +29,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <iosfwd>
@@ -64,7 +63,7 @@ class BlockStore
     {
         // One-entry cache: faults, migrations and walks hit the same
         // allocation repeatedly, making the common probe two compares.
-        std::size_t h = hot_.load(std::memory_order_relaxed);
+        std::size_t h = hot_;
         if (h < ranges_.size()) {
             const Range &r = ranges_[h];
             if (b >= r.first && b < r.end)
@@ -409,12 +408,10 @@ class BlockStore
     std::vector<FreeRun> freeRuns_;  ///< sorted by base, coalesced
     std::size_t size_ = 0;           ///< live blocks
     /**
-     * Last range hit (probe cache). A relaxed atomic because fault
-     * shards probe concurrently (FaultShardPool pass A); the hint
-     * value never affects a find() result, only which path computes
-     * it, so racy updates stay deterministic.
+     * Last range hit (probe cache). The hint never affects a find()
+     * result, only which path computes it.
      */
-    mutable std::atomic<std::size_t> hot_{0};
+    mutable std::size_t hot_ = 0;
 
     BlockIndex lruHead_ = kNoBlockIndex;
     BlockIndex lruTail_ = kNoBlockIndex;

@@ -42,7 +42,6 @@
 #include "uvm/block_info.hh"
 #include "uvm/block_store.hh"
 #include "uvm/eviction_policy.hh"
-#include "uvm/fault_shards.hh"
 #include "uvm/listener.hh"
 
 namespace deepum::sim {
@@ -81,21 +80,6 @@ class Driver : public sim::SimObject, public gpu::UvmBackend
 
     /** Enable/disable the inactive-PT-block invalidation path. */
     void setInvalidationEnabled(bool on) { invalidationEnabled_ = on; }
-
-    /**
-     * Service fault batches on @p n shards (`--service-threads`;
-     * clamped to [1, FaultShardPool::kMaxShards]). 1 — the default —
-     * is the serial path with no worker threads. Stats are
-     * byte-identical at every value; only host wall-clock changes.
-     */
-    void setServiceThreads(unsigned n) { shardPool_.setShards(n); }
-
-    /**
-     * The fault-service shard pool. Core-side sharded paths
-     * (correlation recordBatch, fresh-tag scans) borrow it so one
-     * worker team covers the whole fault path.
-     */
-    FaultShardPool *shardPool() { return &shardPool_; }
 
     /**
      * Attach (or detach with nullptr) the provenance ledger. Like
@@ -296,9 +280,6 @@ class Driver : public sim::SimObject, public gpu::UvmBackend
      */
     std::vector<std::uint64_t> faultSeen_;
     std::uint64_t faultEpoch_ = 0;
-
-    /** Worker team + per-shard scratch for fault-batch servicing. */
-    FaultShardPool shardPool_;
 
     // Statistics (paper Table 5, Figure 10 inputs).
     sim::Scalar pageFaults_;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the UVM driver: range registration, the Figure-3
- * fault pipeline, least-recently-migrated eviction, the inactive
+ * fault pipeline (batch dedupe, unregistered-block faults, blocks
+ * freed mid-batch), least-recently-migrated eviction, the inactive
  * invalidation path, prefetch-queue priority, and pre-eviction.
  */
 
@@ -16,6 +17,7 @@
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "uvm/driver.hh"
+#include "uvm/listener.hh"
 
 using namespace deepum;
 using namespace deepum::uvm;
@@ -347,6 +349,69 @@ TEST(UvmDriver, DirtyEvictionTrafficIsSymmetric)
     // 4 blocks were written back and 4 reloaded in the last step.
     EXPECT_EQ(w.stats.get("uvm.evictedBlocks"),
               w.stats.get("uvm.migratedBlocks") + 4u);
+}
+
+/** Records every fault batch the driver hands to its listeners. */
+struct BatchRecorder : DriverListener {
+    std::vector<std::vector<mem::BlockId>> batches;
+    void
+    onFaultBatch(const std::vector<mem::BlockId> &blocks) override
+    {
+        batches.push_back(blocks);
+    }
+};
+
+TEST(UvmDriver, DuplicateFaultEntriesDedupeInFirstFaultOrder)
+{
+    World w;
+    BatchRecorder rec;
+    w.drv.addListener(&rec);
+    mem::BlockId b0 = mem::blockOf(w.reg(3));
+    // One drained batch: b0+2 faults first, b0+1 twice; the
+    // duplicate's pages still count toward the fault total.
+    w.fb.push(gpu::FaultEntry{b0 + 2, 512, false, 0});
+    w.fb.push(gpu::FaultEntry{b0 + 1, 100, false, 0});
+    w.fb.push(gpu::FaultEntry{b0 + 2, 7, false, 0});
+    w.fb.push(gpu::FaultEntry{b0 + 1, 1, false, 0});
+    w.drv.faultInterrupt();
+    w.eq.run();
+    EXPECT_EQ(w.stats.get("uvm.faultBatches"), 1u);
+    EXPECT_EQ(w.stats.get("uvm.pageFaults"), 512u + 100u + 7u + 1u);
+    EXPECT_EQ(w.stats.get("uvm.faultedBlocks"), 2u);
+    ASSERT_EQ(rec.batches.size(), 1u);
+    EXPECT_EQ(rec.batches[0],
+              (std::vector<mem::BlockId>{b0 + 2, b0 + 1}));
+}
+
+TEST(UvmDriverDeath, FaultOnUnregisteredBlockPanics)
+{
+    World w;
+    mem::BlockId b0 = mem::blockOf(w.reg(2));
+    w.fb.push(gpu::FaultEntry{b0, 512, false, 0});
+    w.fb.push(gpu::FaultEntry{b0 + 999, 512, false, 0});
+    w.drv.faultInterrupt();
+    EXPECT_DEATH(w.eq.run(), "unregistered block");
+}
+
+TEST(UvmDriver, DroppedBlockBetweenDrainAndDispatchIsSkipped)
+{
+    // The re-probe comment in handleFaults promises a freed block is
+    // survivable; this pins the skip (it used to panic).
+    World w;
+    w.drv.registerRange(mem::kUmBase, 2 * mem::kBlockBytes);
+    mem::BlockId b0 = mem::blockOf(mem::kUmBase);
+    w.fb.push(gpu::FaultEntry{b0, 512, false, 0});
+    w.fb.push(gpu::FaultEntry{b0 + 1, 512, false, 0});
+    w.drv.faultInterrupt();
+    // Drain happens at faultInterruptLatency; dispatch at least
+    // faultPreprocessBase later. Free the range in between.
+    w.eq.schedule(w.cfg.faultInterruptLatency + 1, [&] {
+        w.drv.unregisterRange(mem::kUmBase, 2 * mem::kBlockBytes);
+    });
+    w.eq.run();
+    EXPECT_EQ(w.stats.get("uvm.faultedBlocks"), 2u);
+    EXPECT_EQ(w.stats.get("uvm.migratedBlocks"), 0u);
+    EXPECT_FALSE(w.drv.knowsBlock(b0));
 }
 
 } // namespace
