@@ -69,8 +69,6 @@ struct EndToEnd {
     std::uint64_t kernels = 0;
     sim::Tick simTicks = 0;
     std::uint64_t eventsExecuted = 0;
-    std::uint64_t eventsNear = 0;
-    std::uint64_t eventsOverflow = 0;
     double wallSec = 0;
     double faultsPerSec = 0;
 };
@@ -130,8 +128,6 @@ runEndToEnd(std::uint64_t kernels, std::uint64_t totalBlocks,
     r.kernels = kernels;
     r.simTicks = eq.now();
     r.eventsExecuted = eq.executed();
-    r.eventsNear = eq.nearScheduled();
-    r.eventsOverflow = eq.overflowScheduled();
     r.faultsPerSec = r.wallSec > 0
                          ? static_cast<double>(r.pageFaults) / r.wallSec
                          : 0.0;
@@ -156,8 +152,6 @@ struct CorrHeavy {
     std::uint64_t kernels = 0;
     sim::Tick simTicks = 0;
     std::uint64_t eventsExecuted = 0;
-    std::uint64_t eventsNear = 0;
-    std::uint64_t eventsOverflow = 0;
     double wallSec = 0;
     double faultsPerSec = 0;
 };
@@ -233,8 +227,6 @@ runCorrHeavy(std::uint64_t kernels, std::uint64_t totalBlocks,
     r.kernels = kernels;
     r.simTicks = eq.now();
     r.eventsExecuted = eq.executed();
-    r.eventsNear = eq.nearScheduled();
-    r.eventsOverflow = eq.overflowScheduled();
     r.faultsPerSec = r.wallSec > 0
                          ? static_cast<double>(r.pageFaults) / r.wallSec
                          : 0.0;
@@ -326,18 +318,8 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(c.chainsStarted));
         std::printf("wall time            %.3f s\n", c.wallSec);
         std::printf("faults/sec           %.3e\n", c.faultsPerSec);
-        double nearFrac =
-            c.eventsNear + c.eventsOverflow > 0
-                ? static_cast<double>(c.eventsNear) /
-                      static_cast<double>(c.eventsNear +
-                                          c.eventsOverflow)
-                : 0.0;
         std::printf("events executed      %llu\n",
                     static_cast<unsigned long long>(c.eventsExecuted));
-        std::printf("calendar near/ovfl   %llu / %llu (%.4f near)\n",
-                    static_cast<unsigned long long>(c.eventsNear),
-                    static_cast<unsigned long long>(c.eventsOverflow),
-                    nearFrac);
     }
 
     if (!json.empty()) {
@@ -365,8 +347,6 @@ main(int argc, char **argv)
                << ", \"chains_started\": " << c.chainsStarted
                << ", \"sim_ticks\": " << c.simTicks
                << ", \"events_executed\": " << c.eventsExecuted
-               << ", \"events_near\": " << c.eventsNear
-               << ", \"events_overflow\": " << c.eventsOverflow
                << ", \"wall_sec\": " << c.wallSec
                << ", \"faults_per_sec\": " << c.faultsPerSec << "}";
         }

@@ -162,7 +162,7 @@ BM_SpscQueueRoundTrip(benchmark::State &state)
     std::uint64_t v = 0;
     for (auto _ : state) {
         q.push(v);
-        std::uint64_t out;
+        std::uint64_t out = 0;
         q.pop(out);
         benchmark::DoNotOptimize(out);
         ++v;
@@ -190,8 +190,8 @@ mixedDelays()
 }
 
 /**
- * Steady-state calendar-queue push+pop: a standing population of
- * 1024 events, one scheduled and one executed per iteration.
+ * Steady-state event-queue push+pop: a standing population of 1024
+ * events in the heap, one scheduled and one executed per iteration.
  */
 void
 BM_EventQueueScheduleStep(benchmark::State &state)

@@ -9,19 +9,15 @@
  * identical simulations. This is the spine every simulated component
  * (GPU, driver threads, PCIe link) hangs off.
  *
- * Internally the queue is a two-tier calendar queue rather than a
- * binary heap: a ring of fixed-width tick buckets covers the near
- * future (the common case — launch overheads, fault latencies, DMA
- * completions), and a min-heap overflow tier holds the far future.
- * Buckets are unsorted until the clock reaches them, so the steady
- * state is O(1) amortized push/pop instead of O(log n). See
- * DESIGN.md "Event-queue core" for the full design and the
- * determinism contract.
+ * Internally the queue is one binary min-heap. The simulator never
+ * holds more than a couple of pending events, and at that depth a
+ * heap push or pop is a handful of compares. See
+ * DESIGN.md "Event-queue core" for the design and the determinism
+ * contract.
  */
 
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <vector>
@@ -39,7 +35,7 @@ class Tracer;
 using EventFn = InlineFn;
 
 /**
- * A calendar queue of timed callbacks with a deterministic tie-break.
+ * A priority queue of timed callbacks with a deterministic tie-break.
  *
  * Components schedule closures at absolute or relative ticks; run()
  * drains the queue, advancing the simulated clock monotonically.
@@ -64,36 +60,23 @@ class EventQueue
     void scheduleIn(Tick delay, EventFn fn) { schedule(curTick_ + delay, std::move(fn)); }
 
     /** @return true if no events remain. */
-    bool empty() const { return nearCount_ == 0 && overflow_.empty(); }
+    bool empty() const { return heap_.empty(); }
 
     /** @return number of pending events. */
-    std::size_t pending() const { return nearCount_ + overflow_.size(); }
+    std::size_t pending() const { return heap_.size(); }
 
     /** Total number of events executed so far. */
     std::uint64_t executed() const { return executed_; }
-
-    /** Events scheduled into the near-future bucket ring so far. */
-    std::uint64_t nearScheduled() const { return nearScheduled_; }
-
-    /**
-     * Events scheduled past the ring horizon (the overflow heap) so
-     * far. With nearScheduled() this gives the calendar's event-mix
-     * profile: the near fraction is the share of schedules that take
-     * the O(1) bucket path instead of the O(log n) heap path, the
-     * figure the two-tier design bets on (see EXPERIMENTS.md).
-     */
-    std::uint64_t overflowScheduled() const { return overflowScheduled_; }
 
     /**
      * Run until the queue drains or @p limit events have executed.
      * @return the final simulated time.
      *
      * The pop/dispatch machinery is DEEPUM_NOALLOC: draining the
-     * calendar never allocates (bucket sort and heap pops are in
-     * place, invoking the inline callable is one indirect call). The
-     * contract covers the queue itself, not the dispatched closure
-     * bodies — those are type-erased and audited at their own
-     * definition sites.
+     * queue never allocates (heap pops are in place, invoking the
+     * inline callable is one indirect call). The contract covers the
+     * queue itself, not the dispatched closure bodies — those are
+     * type-erased and audited at their own definition sites.
      */
     DEEPUM_NOALLOC Tick run(std::uint64_t limit = ~std::uint64_t(0));
 
@@ -123,10 +106,9 @@ class EventQueue
     Tracer *tracer() const { return tracer_; }
 
     /**
-     * Audit the calendar-queue structure (sim/validate.hh): bitmap vs
-     * bucket contents, near-count bookkeeping, window placement, the
-     * overflow heap property, and that no pending event predates the
-     * clock (monotonicity).
+     * Audit the heap (sim/validate.hh): no pending event predates the
+     * clock (monotonicity), every seq is below the next one to be
+     * handed out, and the min-heap property holds.
      */
     void checkInvariants(CheckContext &ctx) const;
 
@@ -149,55 +131,13 @@ class EventQueue
         return a.seq > b.seq;
     }
 
-    /** log2 of the tick span one bucket covers. */
-    static constexpr std::uint32_t kWidthLog2 = 8;
-    /** Number of ring buckets (power of two). */
-    static constexpr std::size_t kBuckets = 1024;
-    static constexpr std::size_t kSlotMask = kBuckets - 1;
-    static constexpr std::size_t kWords = kBuckets / 64;
-
-    /** Calendar bucket number of tick @p t. */
-    static std::uint64_t bucketNum(Tick t) { return t >> kWidthLog2; }
-
-    /** Ring slot of bucket number @p bn. */
-    static std::size_t slotOf(std::uint64_t bn)
-    {
-        return static_cast<std::size_t>(bn) & kSlotMask;
-    }
-
-    DEEPUM_NOALLOC void markOccupied(std::size_t slot);
-    DEEPUM_NOALLOC void markEmpty(std::size_t slot);
-
-    /** Ring distance from slot(winStart_) to the next occupied slot. */
-    DEEPUM_NOALLOC std::size_t nextOccupiedDistance() const;
-
-    /** Move overflow events that now fall inside the window. */
-    DEEPUM_NOALLOC void migrateOverflow();
-
-    /** Insert @p e into its ring bucket (must be inside the window). */
-    DEEPUM_ALLOC_OK("calendar buckets retain capacity across drains")
-    void insertNear(Entry &&e);
-
-    /** Ring of unsorted future buckets; sorted only when drained. */
-    std::array<std::vector<Entry>, kBuckets> buckets_;
-    /** One bit per slot: bucket non-empty. */
-    std::array<std::uint64_t, kWords> occupied_{};
-    /** Min-heap (via later()) of events beyond the ring horizon. */
-    std::vector<Entry> overflow_;
-
-    /** Bucket number of the window start (the bucket being drained). */
-    std::uint64_t winStart_ = 0;
-    /** Events in the ring (overflow_ excluded). */
-    std::size_t nearCount_ = 0;
-    /** Current bucket is sorted descending; back() is the minimum. */
-    bool curSorted_ = false;
+    /** Min-heap (via later()) of pending events; front() fires next. */
+    std::vector<Entry> heap_;
 
     Tracer *tracer_ = nullptr;
     Tick curTick_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
-    std::uint64_t nearScheduled_ = 0;
-    std::uint64_t overflowScheduled_ = 0;
 };
 
 } // namespace deepum::sim

@@ -106,6 +106,15 @@ TEST(Correlator, FaultsBeforeFirstLaunchIgnored)
 
 constexpr std::uint64_t kGpuBlocks = 8;
 
+/** "k<k>", built with += to dodge a GCC 12 -Wrestrict false positive. */
+std::string
+kernelName(int k)
+{
+    std::string name = "k";
+    name += std::to_string(k);
+    return name;
+}
+
 struct DeepUmWorld {
     sim::EventQueue eq;
     sim::StatSet stats;
@@ -197,7 +206,7 @@ TEST(DeepUmPipeline, PrefetchCoversEvictedBlocksAcrossIterations)
 
     auto iteration = [&] {
         for (int k = 0; k < 6; ++k) {
-            w.launch("k" + std::to_string(k), k,
+            w.launch(kernelName(k), k,
                      {b0 + 2 * k, b0 + 2 * k + 1});
         }
     };
@@ -221,7 +230,7 @@ TEST(DeepUmPipeline, PrefetchDisabledIssuesNothing)
     mem::BlockId b0 = mem::blockOf(va);
     for (int i = 0; i < 3; ++i)
         for (int k = 0; k < 6; ++k)
-            w.launch("k" + std::to_string(k), k,
+            w.launch(kernelName(k), k,
                      {b0 + 2 * k, b0 + 2 * k + 1});
     EXPECT_EQ(w.stats.get("uvm.prefetchIssued"), 0u);
     EXPECT_EQ(w.stats.get("prefetcher.blocksIssued"), 0u);
@@ -236,7 +245,7 @@ TEST(DeepUmPipeline, PreevictKeepsFreeWatermark)
     mem::BlockId b0 = mem::blockOf(va);
     for (int i = 0; i < 4; ++i)
         for (int k = 0; k < 6; ++k)
-            w.launch("k" + std::to_string(k), k,
+            w.launch(kernelName(k), k,
                      {b0 + 2 * k, b0 + 2 * k + 1});
     EXPECT_GT(w.stats.get("uvm.preEvictions"), 0u);
 }
@@ -250,7 +259,7 @@ TEST(DeepUmPipeline, PreevictDisabledNeverPreevicts)
     mem::BlockId b0 = mem::blockOf(va);
     for (int i = 0; i < 4; ++i)
         for (int k = 0; k < 6; ++k)
-            w.launch("k" + std::to_string(k), k,
+            w.launch(kernelName(k), k,
                      {b0 + 2 * k, b0 + 2 * k + 1});
     EXPECT_EQ(w.stats.get("uvm.preEvictions"), 0u);
 }
@@ -486,7 +495,7 @@ TEST(DeepUmPolicy, AgreesWithLinearWalkOverALearnedLoop)
     w.drv.addListener(&agree);
     for (int i = 0; i < 6; ++i)
         for (int k = 0; k < 6; ++k)
-            w.launch("k" + std::to_string(k), k,
+            w.launch(kernelName(k), k,
                      {b0 + 2 * k, b0 + 2 * k + 1});
     EXPECT_GT(agree.checks, 100u);
     EXPECT_GT(agree.protectedSkips, 10u);

@@ -10,6 +10,7 @@
 #include <queue>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "sim/rng.hh"
 #include "sim/spsc_queue.hh"
 #include "sim/stats.hh"
+#include "sim/validate.hh"
 
 using namespace deepum;
 using namespace deepum::sim;
@@ -163,9 +165,8 @@ TEST(EventQueue, ClearResetsClockAndSequence)
 
 TEST(EventQueue, FarFutureEventsCrossTheRingHorizon)
 {
-    // The ring covers 1024 buckets x 256 ticks = 262144 ticks; both
-    // delays beyond it and window jumps over empty stretches must
-    // still fire in (tick, seq) order.
+    // Delays of millions of ticks, ties at a far tick, and long empty
+    // stretches between events must still fire in (tick, seq) order.
     EventQueue eq;
     std::vector<int> order;
     eq.schedule(3'000'000, [&] { order.push_back(3); });
@@ -232,9 +233,12 @@ TEST(EventQueueProperty, MatchesReferenceHeapOnRandomPatterns)
 {
     // Random self-expanding schedules: event k fires, logs itself,
     // and schedules its precomputed children. Delay classes cover
-    // zero-delay (sorted insert into the draining bucket), in-ring,
-    // and far-overflow ticks. The calendar queue must produce the
-    // exact firing sequence of the reference heap.
+    // zero-delay (same-tick ties broken by seq), short, long and
+    // very long delays. The production queue must produce the exact
+    // firing sequence of the reference heap, and its heap audit
+    // (checkInvariants) must hold every 64 steps throughout, at
+    // depths of tens to ~100 pending events rather than the 1-2 a
+    // full-stack run reaches.
     constexpr int kTotal = 5000;
     constexpr int kRoots = 32;
 
@@ -255,6 +259,7 @@ TEST(EventQueueProperty, MatchesReferenceHeapOnRandomPatterns)
             kids[i] = static_cast<int>(rng.below(3));
         }
 
+        std::uint64_t audited = 0;
         auto runOne = [&](auto &q) {
             std::vector<std::pair<int, Tick>> log;
             int next = kRoots;
@@ -268,7 +273,15 @@ TEST(EventQueueProperty, MatchesReferenceHeapOnRandomPatterns)
             };
             for (int id = 0; id < kRoots; ++id)
                 q.schedule(delay[id], [&fire, id] { fire(id); });
-            while (q.step()) {
+            for (std::uint64_t n = 0; q.step(); ++n) {
+                if constexpr (std::is_same_v<decltype(q), EventQueue &>) {
+                    if (n % 64 == 0) {
+                        CheckContext ctx("sim.eventq", "property-test",
+                                         nullptr);
+                        q.checkInvariants(ctx);
+                        audited += ctx.checks();
+                    }
+                }
             }
             return log;
         };
@@ -280,6 +293,7 @@ TEST(EventQueueProperty, MatchesReferenceHeapOnRandomPatterns)
         ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
         EXPECT_EQ(got, want) << "seed " << seed;
         EXPECT_EQ(eq.now(), ref.now()) << "seed " << seed;
+        EXPECT_GT(audited, 0u) << "seed " << seed;
     }
 }
 
