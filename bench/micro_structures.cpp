@@ -6,7 +6,7 @@
  * paper argues are cheap enough to hide in fault handling — plus the
  * simulator's own hot core: event-queue push/pop and the inline
  * event callable — and the block-metadata structures: the dense
- * BlockStore range probe, the intrusive slab LRU requeue, and the
+ * BlockStore range probe, the rank-array LRU requeue, and the
  * victim index's pick cost swept over the protected fraction.
  */
 
@@ -265,10 +265,11 @@ BM_BlockStoreProbe(benchmark::State &state)
 BENCHMARK(BM_BlockStoreProbe)->Arg(1)->Arg(8)->Arg(64);
 
 // LRU requeue (a migration completing moves its block to the back):
-// two index writes in records the probe already touched.
+// clear the old rank, write the next one, with a relabel amortized
+// over the requeues.
 
 void
-BM_IntrusiveLruRequeue(benchmark::State &state)
+BM_LruRequeue(benchmark::State &state)
 {
     const std::uint64_t per = 4096;
     uvm::BlockStore store;
@@ -283,10 +284,10 @@ BM_IntrusiveLruRequeue(benchmark::State &state)
         store.lruErase(i);
         store.lruPushBack(i);
     }
-    benchmark::DoNotOptimize(store.lruTail());
+    benchmark::DoNotOptimize(store.lruFirstUnpinned());
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_IntrusiveLruRequeue);
+BENCHMARK(BM_LruRequeue);
 
 // Victim pick under protection: 4096 resident blocks, the argument's
 // percentage of them held (DeepUM's protected set). Each iteration
@@ -316,7 +317,7 @@ BM_PickVictim(benchmark::State &state)
         store.lruErase(v);
         store.lruPushBack(v);
     }
-    benchmark::DoNotOptimize(store.lruTail());
+    benchmark::DoNotOptimize(store.lruFirstUnpinned());
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PickVictim)->Arg(0)->Arg(50)->Arg(90)->Arg(99);

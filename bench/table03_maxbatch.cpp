@@ -31,10 +31,8 @@ main(int argc, char **argv)
         {"resnet152", 64, 32 * 1024},
     };
 
-    // Rows fan out onto the pool; within a row the DeepUM search
-    // also hands the pool to maxBatch() so its doubling-phase probes
-    // run speculatively in parallel when a row has the pool to
-    // itself (nested calls fall back to serial).
+    // Rows fan out onto the pool; each row's three searches run
+    // serially inside it.
     harness::ParallelRunner pool(jobsFromArgs(argc, argv));
     auto rows = pool.map<std::vector<std::string>>(
         std::size(kProbes), [&](std::size_t i) {
@@ -47,7 +45,7 @@ main(int argc, char **argv)
                 p.hi);
             std::uint64_t dum = harness::maxBatch(
                 p.model, harness::SystemKind::DeepUm, cfg, p.lo,
-                p.hi, &pool);
+                p.hi);
             return std::vector<std::string>{
                 p.model,
                 lms ? harness::fmtBatch(lms)

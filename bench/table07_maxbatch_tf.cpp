@@ -58,7 +58,7 @@ main(int argc, char **argv)
             }
             std::uint64_t dum = harness::maxBatch(
                 p.model, harness::SystemKind::DeepUm, cfg, p.lo,
-                p.hi, &pool);
+                p.hi);
             row.push_back(harness::fmtBatch(dum));
             return row;
         });

@@ -1,13 +1,12 @@
 #include "baselines/runner.hh"
 
-#include <algorithm>
-
 #include "baselines/autotm.hh"
 #include "baselines/capuchin.hh"
 #include "baselines/lms.hh"
 #include "baselines/sentinel.hh"
 #include "baselines/swapadvisor.hh"
 #include "baselines/vdnn.hh"
+#include "harness/experiment.hh"
 #include "models/registry.hh"
 #include "sim/logging.hh"
 
@@ -82,34 +81,10 @@ maxBatchBaseline(BaselineKind kind, const std::string &model,
     SwapConfig quick = cfg;
     quick.iterations = 3;
     quick.warmup = 1;
-
-    auto fits = [&](std::uint64_t batch) {
+    return harness::searchMaxBatch(lo, hi, [&](std::uint64_t batch) {
         torch::Tape tape = models::buildModel(model, batch);
         return runBaseline(kind, tape, quick).ok;
-    };
-
-    if (!fits(lo))
-        return 0;
-    std::uint64_t good = lo, bad = 0, probe = lo;
-    while (probe < hi) {
-        probe = std::min(hi, probe * 2);
-        if (fits(probe)) {
-            good = probe;
-        } else {
-            bad = probe;
-            break;
-        }
-    }
-    if (bad == 0)
-        return good;
-    while (bad - good > std::max<std::uint64_t>(1, good / 64)) {
-        std::uint64_t mid = good + (bad - good) / 2;
-        if (fits(mid))
-            good = mid;
-        else
-            bad = mid;
-    }
-    return good;
+    });
 }
 
 } // namespace deepum::baselines

@@ -41,7 +41,8 @@ SwapResult runBaseline(BaselineKind kind, const torch::Tape &tape,
 
 /**
  * Largest batch in [lo, hi] that @p kind completes; 0 when even
- * @p lo fails (or the model is unsupported).
+ * @p lo fails (or the model is unsupported). The same
+ * harness::searchMaxBatch as harness::maxBatch.
  */
 std::uint64_t maxBatchBaseline(BaselineKind kind,
                                const std::string &model,

@@ -26,7 +26,7 @@
  * The steady-state chain walk is allocation-free: the prediction
  * window is a fixed ring of slots whose protection lists keep their
  * capacity across reuse, the walk queue is a reused vector consumed
- * by index, successors() is a view into the table's inline slab, the
+ * by index, visit() returns a view into the table's inline slab, the
  * fresh-tag sweep fills a reused scratch vector, and the pending
  * completion ticks live in an ExecId-indexed dense table whose
  * per-exec vectors are drained with clear() (capacity retained).

@@ -9,7 +9,6 @@
 #include "gpu/fault_buffer.hh"
 #include "gpu/gpu_engine.hh"
 #include "gpu/pcie_link.hh"
-#include "harness/parallel.hh"
 #include "harness/session.hh"
 #include "mem/frame_pool.hh"
 #include "mem/va_space.hh"
@@ -275,74 +274,24 @@ runExperiment(const torch::Tape &tape, SystemKind kind,
 }
 
 std::uint64_t
-maxBatch(const std::string &model, SystemKind kind,
-         const ExperimentConfig &cfg, std::uint64_t lo,
-         std::uint64_t hi, ParallelRunner *pool)
+searchMaxBatch(std::uint64_t lo, std::uint64_t hi,
+               const std::function<bool(std::uint64_t)> &fits)
 {
-    ExperimentConfig quick = cfg;
-    quick.iterations = 3;
-    quick.warmup = 1;
-
-    auto fits = [&](std::uint64_t batch) {
-        torch::Tape tape = models::buildModel(model, batch);
-        return runExperiment(tape, kind, quick).ok;
-    };
-
-    std::uint64_t good = 0, bad = 0;
-    if (pool != nullptr && pool->jobs() > 1 &&
-        !ParallelRunner::inWorker()) {
-        // Speculative doubling: the probe ladder is known up front,
-        // so rungs run concurrently in waves of jobs() and the
-        // answer is read off the first failing rung — exactly where
-        // the serial loop below would have stopped. Waves bound the
-        // speculation: at most jobs()-1 probes past the failure are
-        // wasted (an OOM probe at a huge batch can be expensive, so
-        // firing the whole ladder at once would not pay off).
-        std::vector<std::uint64_t> ladder{lo};
-        while (ladder.back() < hi)
-            ladder.push_back(std::min(hi, ladder.back() * 2));
-        std::vector<char> fit(ladder.size(), 0);
-        std::size_t first_bad = ladder.size();
-        for (std::size_t base = 0;
-             base < ladder.size() && first_bad == ladder.size();
-             base += pool->jobs()) {
-            std::size_t wave =
-                std::min<std::size_t>(pool->jobs(),
-                                      ladder.size() - base);
-            pool->forEach(wave, [&](std::size_t i) {
-                fit[base + i] = fits(ladder[base + i]) ? 1 : 0;
-            });
-            for (std::size_t i = base; i < base + wave; ++i) {
-                if (!fit[i]) {
-                    first_bad = i;
-                    break;
-                }
-            }
+    if (!fits(lo))
+        return 0;
+    // Exponential probe up to hi.
+    std::uint64_t good = lo, bad = 0, probe = lo;
+    while (probe < hi) {
+        probe = std::min(hi, probe * 2);
+        if (fits(probe)) {
+            good = probe;
+        } else {
+            bad = probe;
+            break;
         }
-        if (first_bad == 0)
-            return 0;
-        good = ladder[first_bad - 1];
-        if (first_bad == ladder.size())
-            return good; // everything up to hi fits
-        bad = ladder[first_bad];
-    } else {
-        if (!fits(lo))
-            return 0;
-        // Exponential probe up to hi.
-        good = lo;
-        std::uint64_t probe = lo;
-        while (probe < hi) {
-            probe = std::min(hi, probe * 2);
-            if (fits(probe)) {
-                good = probe;
-            } else {
-                bad = probe;
-                break;
-            }
-        }
-        if (bad == 0)
-            return good; // everything up to hi fits
     }
+    if (bad == 0)
+        return good; // everything up to hi fits
     while (bad - good > std::max<std::uint64_t>(1, good / 64)) {
         std::uint64_t mid = good + (bad - good) / 2;
         if (fits(mid))
@@ -351,6 +300,20 @@ maxBatch(const std::string &model, SystemKind kind,
             bad = mid;
     }
     return good;
+}
+
+std::uint64_t
+maxBatch(const std::string &model, SystemKind kind,
+         const ExperimentConfig &cfg, std::uint64_t lo,
+         std::uint64_t hi)
+{
+    ExperimentConfig quick = cfg;
+    quick.iterations = 3;
+    quick.warmup = 1;
+    return searchMaxBatch(lo, hi, [&](std::uint64_t batch) {
+        torch::Tape tape = models::buildModel(model, batch);
+        return runExperiment(tape, kind, quick).ok;
+    });
 }
 
 } // namespace deepum::harness

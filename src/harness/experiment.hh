@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 
@@ -23,7 +24,6 @@
 
 namespace deepum::harness {
 
-class ParallelRunner;
 
 /** Which memory system executes the run. */
 enum class SystemKind {
@@ -126,20 +126,24 @@ RunResult runExperiment(const torch::Tape &tape, SystemKind kind,
                         const ExperimentConfig &cfg);
 
 /**
- * Largest batch size that completes without OOM, searched by
- * doubling then bisection over @p build(batch) runs with a reduced
- * iteration count. @p lo must succeed (else returns 0).
- *
- * With a @p pool the doubling-phase probes run speculatively in
- * parallel: the whole probe ladder lo, 2*lo, ..., hi is launched at
- * once and the answer is read off the first failing rung — the same
- * rung the serial early-exit loop would stop at, so the result is
- * identical. The bisection refinement is inherently sequential and
- * stays serial.
+ * The max-batch search: the largest batch in [@p lo, @p hi] that
+ * @p fits, for a predicate that holds up to some edge and fails past
+ * it. It doubles from @p lo until a probe fails (or reaches @p hi),
+ * then bisects until the bracket is within max(1, good/64). Returns
+ * 0 when @p lo fails and @p hi when every doubling probe fits.
+ */
+std::uint64_t
+searchMaxBatch(std::uint64_t lo, std::uint64_t hi,
+               const std::function<bool(std::uint64_t)> &fits);
+
+/**
+ * Largest batch size of @p model that completes without OOM under
+ * @p kind: searchMaxBatch over runs with a reduced iteration count.
+ * @p lo must succeed (else returns 0).
  */
 std::uint64_t
 maxBatch(const std::string &model, SystemKind kind,
          const ExperimentConfig &cfg, std::uint64_t lo,
-         std::uint64_t hi, ParallelRunner *pool = nullptr);
+         std::uint64_t hi);
 
 } // namespace deepum::harness

@@ -6,7 +6,7 @@
  * independent simulation: runExperiment() builds a private
  * EventQueue, StatSet and RNG per call and shares nothing, so cells
  * can run concurrently with zero coordination. ParallelRunner is the
- * thread pool the bench binaries and maxBatch() fan cells out onto;
+ * thread pool the bench binaries fan cells out onto;
  * results land in caller-indexed slots, so the output order (and,
  * because each cell is deterministic in isolation, every value in
  * it) is identical whether the grid runs on one thread or many.
@@ -65,8 +65,7 @@ class ParallelRunner
      * thrown by any call is rethrown here after the job drains.
      *
      * Nested calls from inside a worker run inline serially (no
-     * deadlock), so a parallel bench row may itself call a
-     * pool-aware helper like maxBatch().
+     * deadlock), so a parallel bench row may itself call forEach().
      */
     void forEach(std::size_t n, const std::function<void(std::size_t)> &body);
 

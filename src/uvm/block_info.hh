@@ -1,6 +1,11 @@
 /**
  * @file
  * Per-UM-block driver state.
+ *
+ * One 40-byte record per registered block, dense in BlockStore's
+ * slab. A resident block's place in the least-recently-migrated
+ * order is its rank, an index into the store's rank array; the
+ * record carries no list links.
  */
 
 #pragma once
@@ -26,11 +31,11 @@ constexpr BlockIndex kNoBlockIndex = ~BlockIndex(0);
 
 /**
  * Position of a resident block in BlockStore's least-recently-migrated
- * order: ranks strictly increase from the LRU head to its tail.
+ * order: an index into its rank array, lower ranks migrated earlier.
  */
 using LruRank = std::uint32_t;
 
-/** Sentinel for "not linked in the LRU" (non-resident). */
+/** Sentinel for "not in the LRU" (non-resident). */
 constexpr LruRank kNoLruRank = ~LruRank(0);
 
 /** Where a UM block's backing data currently lives. */
@@ -53,7 +58,8 @@ struct BlockInfo {
     bool prefetched = false;         ///< resident via prefetch, not yet used
     /**
      * Held by in-flight fault handling: never a victim. Written only
-     * through BlockStore::setPinned (it feeds the victim index).
+     * through BlockStore::setPinned (it feeds the victim index and
+     * the store's pinned count).
      */
     bool pinned = false;
     /**
@@ -65,17 +71,17 @@ struct BlockInfo {
     std::uint32_t prefetchExecId = 0; ///< exec ID that predicted it
     bool queuedFault = false;        ///< sitting in the fault queue
     bool queuedPrefetch = false;     ///< sitting in the prefetch queue
-    /** LRU position (kNoLruRank while not resident); BlockStore's. */
-    LruRank lruRank = kNoLruRank;
-    std::uint64_t migrateSeq = 0;    ///< global order of last migration
-
     /**
-     * Intrusive least-recently-migrated list links: slab indices of
-     * the neighbouring resident blocks (kNoBlockIndex at the ends and
-     * while not resident). Owned by BlockStore's lruPushBack/lruErase.
+     * Position in BlockStore's least-recently-migrated order, the
+     * index of this slot in its rank array (kNoLruRank while not
+     * resident). Owned by BlockStore's lruPushBack/lruErase/relabel.
      */
-    BlockIndex lruPrev = kNoBlockIndex;
-    BlockIndex lruNext = kNoBlockIndex;
+    LruRank lruRank = kNoLruRank;
+    /**
+     * Global order of the last migration. Never renumbered, so it
+     * independently checks that relabelling kept the LRU order.
+     */
+    std::uint64_t migrateSeq = 0;
 
     /** Every populated byte belongs to an inactive PyTorch block. */
     bool

@@ -126,10 +126,10 @@ BlockStore::unregisterRun(mem::BlockId first, mem::BlockId end)
     BlockIndex n = static_cast<BlockIndex>(end - first);
     BlockIndex base = r->base;
     for (BlockIndex i = 0; i < n; ++i) {
-        DEEPUM_ASSERT(slab_[base + i].lruPrev == kNoBlockIndex &&
-                          slab_[base + i].lruNext == kNoBlockIndex &&
-                          lruHead_ != base + i,
-                      "unregistering a block still linked in the LRU");
+        DEEPUM_ASSERT(slab_[base + i].lruRank == kNoLruRank,
+                      "unregistering a block still in the LRU");
+        if (slab_[base + i].pinned)
+            --pinnedCount_;
         slab_[base + i] = BlockInfo{};
         ids_[base + i] = kNoBlock;
     }
@@ -155,17 +155,22 @@ BlockStore::relabel()
     // O(lruSize_): O(1) amortized per push.
     std::size_t ranks = std::max<std::size_t>(2 * (lruSize_ + 1), 64);
     ranks = (ranks + 63) / 64 * 64;
-    rankSlot_.resize(ranks);
     unpinned_.reset(ranks);
     evictable_.reset(ranks);
-    LruRank r = 0;
-    for (BlockIndex i = lruHead_; i != kNoBlockIndex;
-         i = slab_[i].lruNext, ++r) {
-        slab_[i].lruRank = r;
-        rankSlot_[r] = i;
+    // Forward compaction: the write rank never passes the read rank,
+    // so the blocks slide down over the holes in order.
+    LruRank w = 0;
+    for (LruRank r = 0; r < nextRank_; ++r) {
+        BlockIndex i = rankSlot_[r];
+        if (i == kNoBlockIndex)
+            continue;
+        rankSlot_[w] = i;
+        slab_[i].lruRank = w++;
         syncVictimBits(slab_[i]);
     }
-    nextRank_ = r;
+    rankSlot_.resize(ranks);
+    std::fill(rankSlot_.begin() + w, rankSlot_.end(), kNoBlockIndex);
+    nextRank_ = w;
 }
 
 void
@@ -234,10 +239,8 @@ BlockStore::checkInvariants(sim::CheckContext &ctx) const
             ctx.require(ids_[i] == kNoBlock,
                         "free slot %u still backrefs block %llu", i,
                         static_cast<unsigned long long>(ids_[i]));
-            ctx.require(slab_[i].lruPrev == kNoBlockIndex &&
-                            slab_[i].lruNext == kNoBlockIndex &&
-                            slab_[i].lruRank == kNoLruRank,
-                        "free slot %u still linked in the LRU", i);
+            ctx.require(slab_[i].lruRank == kNoLruRank,
+                        "free slot %u still in the LRU", i);
             ctx.require(!slab_[i].pinned && !slab_[i].held,
                         "free slot %u still pinned or held", i);
         }
@@ -247,50 +250,54 @@ BlockStore::checkInvariants(sim::CheckContext &ctx) const
                 "slab",
                 live, freed, slab_.size());
 
-    // Intrusive LRU: one doubly-linked list over live slots, link
-    // symmetry, size agreement, ranks strictly increasing and mapped
-    // back to their slot. The walk also recomputes both victim
-    // bitmaps from the pinned/held bits.
+    // Rank array <-> records, both directions: every occupied rank
+    // below nextRank_ names a live slot whose rank is that rank,
+    // every other rank is empty, and every ranked record is named by
+    // its rank. The rank walk also recomputes both victim bitmaps
+    // from the pinned/held bits.
+    ctx.require(nextRank_ <= rankSlot_.size(),
+                "next rank %u beyond the %zu-rank space", nextRank_,
+                rankSlot_.size());
     std::size_t rank_words = rankSlot_.size() / 64;
     std::vector<std::uint64_t> want_unpinned(rank_words, 0);
     std::vector<std::uint64_t> want_evictable(rank_words, 0);
-    std::size_t walked = 0;
-    BlockIndex prev = kNoBlockIndex;
-    LruRank prev_rank = 0;
-    for (BlockIndex i = lruHead_; i != kNoBlockIndex;
-         i = slab_[i].lruNext) {
-        ctx.require(i < slab_.size(),
-                    "LRU link names slot %u outside the %zu-slot slab",
-                    i, slab_.size());
-        if (i >= slab_.size())
-            break;
-        ctx.require(ids_[i] != kNoBlock,
-                    "LRU contains free slot %u", i);
-        ctx.require(slab_[i].lruPrev == prev,
-                    "LRU back-link of slot %u names %u, expected %u",
-                    i, slab_[i].lruPrev, prev);
-        LruRank r = slab_[i].lruRank;
+    std::size_t in_lru = 0;
+    for (LruRank r = 0; r < rankSlot_.size(); ++r) {
+        BlockIndex i = rankSlot_[r];
+        if (i == kNoBlockIndex)
+            continue;
         ctx.require(r < nextRank_,
-                    "LRU slot %u has rank %u, next rank is %u", i, r,
-                    nextRank_);
-        ctx.require(prev == kNoBlockIndex || r > prev_rank,
-                    "LRU rank %u of slot %u does not exceed its "
-                    "predecessor's %u",
-                    r, i, prev_rank);
-        if (r < nextRank_) {
-            ctx.require(rankSlot_[r] == i,
-                        "rank %u maps to slot %u, LRU holds slot %u",
-                        r, rankSlot_[r], i);
-            std::uint64_t bit = std::uint64_t(1) << (r & 63);
-            if (!slab_[i].pinned)
-                want_unpinned[r >> 6] |= bit;
-            if (!slab_[i].pinned && !slab_[i].held)
-                want_evictable[r >> 6] |= bit;
-        }
-        prev_rank = r;
-        prev = i;
-        if (++walked > lruSize_)
-            break; // cycle; the size check below reports it
+                    "rank %u names slot %u at or past next rank %u", r,
+                    i, nextRank_);
+        ctx.require(i < slab_.size() && ids_[i] != kNoBlock,
+                    "rank %u names slot %u, not a live slot of the "
+                    "%zu-slot slab",
+                    r, i, slab_.size());
+        if (i >= slab_.size())
+            continue;
+        ctx.require(slab_[i].lruRank == r,
+                    "rank %u names slot %u, whose rank is %u", r, i,
+                    slab_[i].lruRank);
+        ++in_lru;
+        std::uint64_t bit = std::uint64_t(1) << (r & 63);
+        if (!slab_[i].pinned)
+            want_unpinned[r >> 6] |= bit;
+        if (!slab_[i].pinned && !slab_[i].held)
+            want_evictable[r >> 6] |= bit;
+    }
+    std::size_t ranked = 0;
+    std::size_t pinned = 0;
+    for (BlockIndex i = 0; i < slab_.size(); ++i) {
+        LruRank r = slab_[i].lruRank;
+        if (slab_[i].pinned)
+            ++pinned;
+        if (r == kNoLruRank)
+            continue;
+        ++ranked;
+        ctx.require(r < nextRank_ && r < rankSlot_.size() &&
+                        rankSlot_[r] == i,
+                    "slot %u has rank %u, which does not name it", i,
+                    r);
     }
     auto check_bitmap = [&](const char *name, const RankBitmap &bm,
                             const std::vector<std::uint64_t> &want) {
@@ -307,19 +314,15 @@ BlockStore::checkInvariants(sim::CheckContext &ctx) const
     };
     check_bitmap("unpinned", unpinned_, want_unpinned);
     check_bitmap("evictable", evictable_, want_evictable);
-    std::size_t ranked = 0;
-    for (const BlockInfo &bi : slab_)
-        if (bi.lruRank != kNoLruRank)
-            ++ranked;
     ctx.require(ranked == lruSize_,
                 "%zu slots carry an LRU rank, LRU size is %zu", ranked,
                 lruSize_);
-    ctx.require(walked == lruSize_,
-                "LRU walk visited %zu slots, size counter says %zu",
-                walked, lruSize_);
-    ctx.require(lruTail_ == prev,
-                "LRU tail names slot %u, walk ended at %u", lruTail_,
-                prev);
+    ctx.require(in_lru == lruSize_,
+                "%zu ranks name a slot, LRU size is %zu", in_lru,
+                lruSize_);
+    ctx.require(pinned == pinnedCount_,
+                "pinned count %zu disagrees with %zu pinned records",
+                pinnedCount_, pinned);
 }
 
 void
@@ -328,6 +331,7 @@ BlockStore::dumpState(std::ostream &os) const
     os << "BlockStore{blocks=" << size_ << " slab=" << slab_.size()
        << " ranges=" << ranges_.size()
        << " freeRuns=" << freeRuns_.size() << " lru=" << lruSize_
+       << " pinned=" << pinnedCount_
        << " ranks=" << rankSlot_.size() << " nextRank=" << nextRank_
        << "}\n";
     for (const Range &r : ranges_)

@@ -5,26 +5,29 @@
  * UM allocations are contiguous runs of 2 MiB blocks, so the store
  * maps BlockId -> dense slab index with a small sorted table of
  * registered runs: one range probe plus a subtract, no hashing. The
- * BlockInfo records live in a contiguous slab (vector), the
- * least-recently-migrated list is intrusive prev/next slab indices
- * inside BlockInfo, and freed runs go on a coalescing free list so
- * register/unregister churn reuses slots instead of growing the slab.
+ * BlockInfo records live in a contiguous slab (vector), and freed
+ * runs go on a coalescing free list so register/unregister churn
+ * reuses slots instead of growing the slab.
+ *
+ * The least-recently-migrated order is one array: rank -> slot.
+ * A migration appends its block at the next rank and an eviction
+ * leaves a hole (kNoBlockIndex), so walking the ranks upward and
+ * skipping holes is oldest-migration-first. When the ranks run out,
+ * relabel() compacts the array in place. Two rank-keyed two-level
+ * bitmaps mark the resident blocks that are unpinned and those that
+ * are unpinned and not held, so the oldest victim of either kind is a
+ * find-first-set, however many blocks are pinned or held (DESIGN.md
+ * §3.9). The store also owns the count of pinned blocks: the driver
+ * replays the GPU when it reaches zero.
  *
  * This replaces the driver's former unordered_map block table,
  * std::list LRU with its position side-map, and the outstanding-fault
  * hash set (now a bit in the record) — the per-event hashing and
  * pointer-chasing on the fault path's hottest lookups.
  *
- * Victim selection is an index over the LRU, not a walk of it: every
- * resident block carries a monotone LRU rank, and two rank-keyed
- * two-level bitmaps mark the resident blocks that are unpinned and
- * those that are unpinned and not held. The oldest candidate of
- * either kind is a find-first-set, however many blocks are pinned or
- * held (DESIGN.md §3.9).
- *
  * Everything here is deterministic by construction: lookups are pure,
- * iteration orders are slab/BlockId order or the intrusive list, and
- * slot assignment depends only on the register/unregister history.
+ * iteration orders are slab/BlockId order or rank order, and slot
+ * assignment depends only on the register/unregister history.
  */
 
 #pragma once
@@ -44,7 +47,7 @@ class CheckContext;
 
 namespace deepum::uvm {
 
-/** Dense BlockId -> BlockInfo store with an intrusive LRU. */
+/** Dense BlockId -> BlockInfo store with a rank-array LRU. */
 class BlockStore
 {
   public:
@@ -113,18 +116,19 @@ class BlockStore
 
     /**
      * Unregister the run [first, end), which must exactly match one
-     * registered run; its slots join the free list (coalesced). The
-     * caller must already have unlinked resident blocks from the LRU.
+     * registered run; its slots join the free list (coalesced) and
+     * its pins are dropped from pinnedCount(). The caller must
+     * already have erased resident blocks from the LRU.
      */
     DEEPUM_INVALIDATES_VIEWS
     void unregisterRun(mem::BlockId first, mem::BlockId end);
 
-    // --- intrusive least-recently-migrated list ---------------------
+    // --- least-recently-migrated order (the rank array) -------------
 
     /**
-     * Append slot @p i (must not be linked) at the MRU end, with the
-     * next LRU rank (relabelling the list first when the rank space
-     * is used up).
+     * Append slot @p i (must not be in the LRU) at the MRU end, with
+     * the next rank (relabelling first when the rank space is used
+     * up).
      */
     DEEPUM_NOALLOC void
     lruPushBack(BlockIndex i)
@@ -135,52 +139,31 @@ class BlockStore
         bi.lruRank = nextRank_++;
         rankSlot_[bi.lruRank] = i;
         syncVictimBits(bi);
-        bi.lruPrev = lruTail_;
-        bi.lruNext = kNoBlockIndex;
-        if (lruTail_ != kNoBlockIndex)
-            slab_[lruTail_].lruNext = i;
-        else
-            lruHead_ = i;
-        lruTail_ = i;
         ++lruSize_;
     }
 
-    /** Unlink slot @p i (must be linked) and drop its rank. */
+    /** Remove slot @p i (must be in the LRU), leaving a rank hole. */
     DEEPUM_NOALLOC void
     lruErase(BlockIndex i)
     {
         BlockInfo &bi = slab_[i];
         unpinned_.clear(bi.lruRank);
         evictable_.clear(bi.lruRank);
+        rankSlot_[bi.lruRank] = kNoBlockIndex;
         bi.lruRank = kNoLruRank;
-        if (bi.lruPrev != kNoBlockIndex)
-            slab_[bi.lruPrev].lruNext = bi.lruNext;
-        else
-            lruHead_ = bi.lruNext;
-        if (bi.lruNext != kNoBlockIndex)
-            slab_[bi.lruNext].lruPrev = bi.lruPrev;
-        else
-            lruTail_ = bi.lruPrev;
-        bi.lruPrev = kNoBlockIndex;
-        bi.lruNext = kNoBlockIndex;
         --lruSize_;
     }
 
-    /** Oldest-migrated slot (kNoBlockIndex when empty). */
-    BlockIndex lruHead() const { return lruHead_; }
-
-    /** Most-recently-migrated slot (kNoBlockIndex when empty). */
-    BlockIndex lruTail() const { return lruTail_; }
-
-    /** Linked (resident) blocks. */
+    /** Blocks in the LRU (resident). */
     std::size_t lruSize() const { return lruSize_; }
 
     /**
      * Range-for view over the LRU as BlockIds, oldest migration
-     * first — the shape the policies and audits consume. A
-     * DEEPUM_VIEW: do not store one in a field/container or hold it
-     * across registerRun()/unregisterRun() (slab growth and slot
-     * reuse invalidate the traversal).
+     * first — the shape the audits, dumps and tests consume. It walks
+     * the ranks upward and skips holes. A DEEPUM_VIEW: do not store
+     * one in a field/container or hold it across
+     * registerRun()/unregisterRun() or an LRU change (slot reuse and
+     * relabelling invalidate the traversal).
      */
     class DEEPUM_VIEW LruView
     {
@@ -188,39 +171,43 @@ class BlockStore
         class iterator
         {
           public:
-            iterator(const BlockStore *st, BlockIndex i)
-                : st_(st), i_(i)
+            iterator(const BlockStore *st, LruRank r)
+                : st_(st), r_(st->nextInLru(r))
             {}
 
-            mem::BlockId operator*() const { return st_->idAt(i_); }
+            mem::BlockId
+            operator*() const
+            {
+                return st_->idAt(st_->rankSlot_[r_]);
+            }
 
             iterator &
             operator++()
             {
-                i_ = st_->at(i_).lruNext;
+                r_ = st_->nextInLru(r_ + 1);
                 return *this;
             }
 
             bool
             operator==(const iterator &o) const
             {
-                return i_ == o.i_;
+                return r_ == o.r_;
             }
             bool
             operator!=(const iterator &o) const
             {
-                return i_ != o.i_;
+                return r_ != o.r_;
             }
 
           private:
             const BlockStore *st_;
-            BlockIndex i_;
+            LruRank r_;
         };
 
         explicit LruView(const BlockStore *st) : st_(st) {}
 
-        iterator begin() const { return {st_, st_->lruHead()}; }
-        iterator end() const { return {st_, kNoBlockIndex}; }
+        iterator begin() const { return {st_, 0}; }
+        iterator end() const { return {st_, st_->nextRank_}; }
         std::size_t size() const { return st_->lruSize(); }
 
       private:
@@ -230,10 +217,11 @@ class BlockStore
     DEEPUM_NOALLOC LruView lruOrder() const { return LruView(this); }
 
     /**
-     * Renumber the LRU ranks 0..lruSize()-1 in list order and resize
-     * the rank space to twice the resident set. lruPushBack calls it
-     * when the ranks run out; public so tests can force one. Ranks
-     * keep their relative order, so no query answer changes.
+     * Compact the rank array in place, renumbering the LRU
+     * 0..lruSize()-1 in order, and resize the rank space to twice
+     * the resident set. lruPushBack calls it when the ranks run out;
+     * public so tests can force one. Ranks keep their relative
+     * order, so no query answer changes.
      */
     DEEPUM_ALLOC_OK("grows with the resident set")
     void relabel();
@@ -256,13 +244,23 @@ class BlockStore
         return slotOfRank(evictable_.first());
     }
 
-    /** Set or clear slot @p i's pinned bit. */
+    /** Set or clear slot @p i's pinned bit (no-op when unchanged). */
     DEEPUM_NOALLOC void
     setPinned(BlockIndex i, bool on)
     {
-        slab_[i].pinned = on;
-        syncVictimBits(slab_[i]);
+        BlockInfo &bi = slab_[i];
+        if (bi.pinned == on)
+            return;
+        bi.pinned = on;
+        if (on)
+            ++pinnedCount_;
+        else
+            --pinnedCount_;
+        syncVictimBits(bi);
     }
+
+    /** Registered blocks with the pinned bit set. */
+    std::size_t pinnedCount() const { return pinnedCount_; }
 
     /** Set or clear slot @p i's held bit (free slots allowed). */
     DEEPUM_NOALLOC void
@@ -292,10 +290,11 @@ class BlockStore
      * Audit the slab bookkeeping: run table sorted and disjoint,
      * every live slot's backref naming its mapped block, free runs
      * sorted/coalesced/disjoint from live slots with scrubbed
-     * records, live + free covering the slab exactly, and the
-     * intrusive LRU links forming one consistent list over live
-     * slots with strictly increasing ranks, and both victim bitmaps
-     * (words and summaries) equal to their recomputed predicates.
+     * records, live + free covering the slab exactly, the rank
+     * array and the records' ranks naming each other in both
+     * directions over live slots only, the LRU and pinned counts,
+     * and both victim bitmaps (words and summaries) equal to their
+     * recomputed predicates.
      */
     void checkInvariants(sim::CheckContext &ctx) const;
 
@@ -378,7 +377,7 @@ class BlockStore
         std::vector<std::uint64_t> summary_; ///< bit per nonzero word
     };
 
-    /** Re-derive a linked record's bits in both victim bitmaps. */
+    /** Re-derive an LRU record's bits in both victim bitmaps. */
     DEEPUM_NOALLOC void
     syncVictimBits(const BlockInfo &bi)
     {
@@ -392,6 +391,15 @@ class BlockStore
     slotOfRank(LruRank r) const
     {
         return r == kNoLruRank ? kNoBlockIndex : rankSlot_[r];
+    }
+
+    /** Lowest rank >= @p r that holds a block, or nextRank_. */
+    DEEPUM_NOALLOC LruRank
+    nextInLru(LruRank r) const
+    {
+        while (r < nextRank_ && rankSlot_[r] == kNoBlockIndex)
+            ++r;
+        return r;
     }
 
     DEEPUM_NOALLOC BlockIndex findSlow(mem::BlockId b) const;
@@ -413,15 +421,17 @@ class BlockStore
      */
     mutable std::size_t hot_ = 0;
 
-    BlockIndex lruHead_ = kNoBlockIndex;
-    BlockIndex lruTail_ = kNoBlockIndex;
-    std::size_t lruSize_ = 0;
+    std::size_t lruSize_ = 0;      ///< blocks in the LRU
+    std::size_t pinnedCount_ = 0;  ///< slots with the pinned bit
 
-    /** Rank -> slot for linked ranks (stale entries elsewhere). */
+    /**
+     * The LRU: rank -> slot, kNoBlockIndex at every rank that holds
+     * no block (erased, or at or past nextRank_).
+     */
     std::vector<BlockIndex> rankSlot_;
     LruRank nextRank_ = 0;   ///< rank the next lruPushBack takes
-    RankBitmap unpinned_;    ///< linked and not pinned
-    RankBitmap evictable_;   ///< linked, not pinned, not held
+    RankBitmap unpinned_;    ///< in the LRU and not pinned
+    RankBitmap evictable_;   ///< in the LRU, not pinned, not held
 };
 
 } // namespace deepum::uvm

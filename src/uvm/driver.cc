@@ -132,7 +132,6 @@ Driver::unregisterRange(mem::VAddr va, std::uint64_t bytes)
             frames_.release(bi.pages);
             store_.lruErase(i);
         }
-        unpin(i);
     }
     store_.unregisterRun(first, end);
     for (auto *l : listeners_)
@@ -214,16 +213,9 @@ Driver::preEvictOne()
     sim::Tick t = curTick();
     evictBlock(victim, t, /*demand=*/false);
     ++preEvictions_;
-    eventq().schedule(t, [this] {
-        migBusy_ = false;
-        if (!faultQueue_.empty() || !prefetchQueue_.empty()) {
-            migBusy_ = true;
-            migrationStep();
-        } else {
-            for (auto *l : listeners_)
-                l->onMigrationIdle();
-        }
-    });
+    // migBusy_ stays set until then, so commands queued meanwhile
+    // wait for this step to serve them.
+    eventq().schedule(t, [this] { migrationStep(); });
     return true;
 }
 
@@ -365,10 +357,7 @@ Driver::handleFaults()
                 continue; // a prefetch landed it meanwhile
             if (ledger_ != nullptr)
                 ledger_->onDemandFault(b, curTick());
-            if (!bi.pinned) {
-                store_.setPinned(i, true);
-                ++pinnedCount_;
-            }
+            store_.setPinned(i, true);
             if (!bi.queuedFault) {
                 bool ok = faultQueue_.push(MigrateCmd{b, 0});
                 DEEPUM_ASSERT(ok, "fault queue overflow");
@@ -380,17 +369,9 @@ Driver::handleFaults()
                         curTick(), faultQueue_.size());
         DEEPUM_VALIDATE_HOOK("fault-batch");
 
-        if (pinnedCount_ == 0) {
+        if (store_.pinnedCount() == 0) {
             // Everything already resident: replay immediately.
-            if (engine_ != nullptr && engine_->stalled() &&
-                !replayPending_) {
-                replayPending_ = true;
-                scheduleIn(cfg_.replayLatency, [this] {
-                    replayPending_ = false;
-                    ++replaysSent_;
-                    engine_->replay();
-                });
-            }
+            maybeReplay();
             return;
         }
 
@@ -406,9 +387,14 @@ Driver::resolveFault(mem::BlockId b)
 {
     BlockIndex i = store_.find(b);
     if (i != kNoBlockIndex)
-        unpin(i);
-    if (pinnedCount_ != 0)
-        return;
+        store_.setPinned(i, false);
+    if (store_.pinnedCount() == 0)
+        maybeReplay();
+}
+
+void
+Driver::maybeReplay()
+{
     if (engine_ != nullptr && engine_->stalled() && !replayPending_) {
         replayPending_ = true;
         scheduleIn(cfg_.replayLatency, [this] {
@@ -481,21 +467,8 @@ Driver::migrationStep()
         bool htod = (bi.loc == Loc::Host);
         std::uint32_t pages = bi.pages;
         if (htod) {
-            std::uint64_t bytes = std::uint64_t(pages) * mem::kPageSize;
-            if (demand) {
-                // Fault-path migration: fault-granularity chunks,
-                // each with a handling round trip (see TimingConfig).
-                std::uint64_t chunk = cfg_.demandChunkBytes;
-                while (bytes > 0) {
-                    std::uint64_t n = bytes < chunk ? bytes : chunk;
-                    t = link_.acquire(t, n, gpu::Dir::HostToDev) +
-                        cfg_.demandChunkOverhead;
-                    bytes -= n;
-                }
-            } else {
-                // Driver-initiated bulk copy at full block size.
-                t = link_.acquire(t, bytes, gpu::Dir::HostToDev);
-            }
+            t = transfer(t, std::uint64_t(pages) * mem::kPageSize,
+                         gpu::Dir::HostToDev, demand);
         } else {
             t += cfg_.zeroFillPerPage * pages;
         }
@@ -561,6 +534,23 @@ Driver::migrationStep()
     }
 }
 
+sim::Tick
+Driver::transfer(sim::Tick t, std::uint64_t bytes, gpu::Dir dir,
+                 bool demand)
+{
+    if (!demand) // driver-initiated bulk copy at full block size
+        return link_.acquire(t, bytes, dir);
+    // Fault-path copy: fault-granularity chunks, each with a handling
+    // round trip (see TimingConfig).
+    std::uint64_t chunk = cfg_.demandChunkBytes;
+    while (bytes > 0) {
+        std::uint64_t n = bytes < chunk ? bytes : chunk;
+        t = link_.acquire(t, n, dir) + cfg_.demandChunkOverhead;
+        bytes -= n;
+    }
+    return t;
+}
+
 bool
 Driver::makeRoom(std::uint64_t pages, sim::Tick &t, bool demand)
 {
@@ -601,22 +591,10 @@ Driver::evictBlock(mem::BlockId victim, sim::Tick &t, bool demand)
         bi.loc = Loc::Unpopulated;
         ++invalidatedBlocks_;
     } else {
-        std::uint64_t bytes = std::uint64_t(bi.pages) * mem::kPageSize;
-        if (demand) {
-            // Eviction inside the fault handler moves data at fault
-            // granularity with handling round trips — the expensive
-            // critical-path work pre-eviction exists to avoid
-            // (paper Section 5.1).
-            std::uint64_t chunk = cfg_.demandChunkBytes;
-            while (bytes > 0) {
-                std::uint64_t n = bytes < chunk ? bytes : chunk;
-                t = link_.acquire(t, n, gpu::Dir::DevToHost) +
-                    cfg_.demandChunkOverhead;
-                bytes -= n;
-            }
-        } else {
-            t = link_.acquire(t, bytes, gpu::Dir::DevToHost);
-        }
+        // A demand write-back is the expensive critical-path work
+        // pre-eviction exists to avoid (paper Section 5.1).
+        t = transfer(t, std::uint64_t(bi.pages) * mem::kPageSize,
+                     gpu::Dir::DevToHost, demand);
         t += cfg_.mapBlock;
         bi.loc = Loc::Host;
         ++evictedBlocks_;
@@ -650,19 +628,18 @@ Driver::evictBlock(mem::BlockId victim, sim::Tick &t, bool demand)
 void
 Driver::checkInvariants(sim::CheckContext &ctx) const
 {
-    // The slab itself first: run table, free list, backrefs, link
-    // symmetry. Everything below may rely on it.
+    // The slab itself first: run table, free list, backrefs, the
+    // rank array, the pinned count. Everything below may rely on it.
     store_.checkInvariants(ctx);
 
-    // Walk the intrusive LRU once, marking membership and checking
-    // residency plus migrateSeq order (oldest migration first).
+    // Walk the LRU once, marking membership and checking residency
+    // plus migrateSeq order (oldest migration first). migrateSeq is
+    // never renumbered, so this also proves relabelling kept order.
     std::vector<char> in_lru(store_.slabSize(), 0);
     std::uint64_t prev_seq = 0;
     bool have_prev = false;
-    for (BlockIndex i = store_.lruHead(); i != kNoBlockIndex;
-         i = store_.at(i).lruNext) {
-        if (i >= store_.slabSize() || in_lru[i])
-            break; // store_.checkInvariants reported the corruption
+    for (mem::BlockId b : store_.lruOrder()) {
+        BlockIndex i = store_.find(b);
         in_lru[i] = 1;
         const BlockInfo &bi = store_.at(i);
         ctx.require(bi.loc == Loc::Device,
@@ -689,7 +666,6 @@ Driver::checkInvariants(sim::CheckContext &ctx) const
     // oversubscription studies motivate.
     std::uint64_t device_pages = 0;
     std::size_t device_blocks = 0;
-    std::uint64_t pinned_blocks = 0;
     store_.forEachBlock([&](mem::BlockId b, BlockIndex i) {
         const BlockInfo &bi = store_.at(i);
         if (bi.loc == Loc::Device) {
@@ -703,8 +679,6 @@ Driver::checkInvariants(sim::CheckContext &ctx) const
                         "non-resident block %llu present in LRU",
                         static_cast<unsigned long long>(b));
         }
-        if (bi.pinned)
-            ++pinned_blocks;
         ctx.require(bi.inactiveBytes <=
                         std::uint64_t(bi.pages) * mem::kPageSize,
                     "block %llu inactive bytes %llu exceed its size",
@@ -721,13 +695,8 @@ Driver::checkInvariants(sim::CheckContext &ctx) const
                 "migration thread idle with %llu pages in flight",
                 static_cast<unsigned long long>(inFlightPages_));
     ctx.require(store_.lruSize() == device_blocks,
-                "LRU list holds %zu blocks, %zu are resident",
+                "LRU holds %zu blocks, %zu are resident",
                 store_.lruSize(), device_blocks);
-    ctx.require(pinned_blocks == pinnedCount_,
-                "pinned counter %llu disagrees with %llu pinned "
-                "records",
-                static_cast<unsigned long long>(pinnedCount_),
-                static_cast<unsigned long long>(pinned_blocks));
 
     // Queued-flag agreement: a set flag means the block really is in
     // the respective queue. (The reverse is legal: a queued command
@@ -755,7 +724,7 @@ void
 Driver::dumpState(std::ostream &os) const
 {
     os << "Driver{blocks=" << store_.size()
-       << " lru=" << store_.lruSize() << " pinned=" << pinnedCount_
+       << " lru=" << store_.lruSize()
        << " faultQueue=" << faultQueue_.size()
        << " prefetchQueue=" << prefetchQueue_.size()
        << " migBusy=" << migBusy_ << " inFlightPages=" << inFlightPages_

@@ -17,10 +17,13 @@
  *    prefetch queue; owns the PCIe link).
  *
  * Per-block metadata lives in a dense BlockStore (block_store.hh):
- * BlockId -> slab index is one range probe, the LRU is intrusive
- * indices inside BlockInfo, and "pinned by an outstanding fault" is a
- * bit in the record plus a counter — no hashing anywhere on the
- * fault path.
+ * BlockId -> slab index is one range probe, the LRU is the store's
+ * rank array, and "pinned by an outstanding fault" is a bit in the
+ * record whose count the store keeps — no hashing anywhere on the
+ * fault path. The driver replays the GPU when that count reaches
+ * zero (maybeReplay), copies every block over the link through one
+ * transfer(), and goes idle in one place: migrationStep() with both
+ * queues empty.
  */
 
 #pragma once
@@ -198,10 +201,10 @@ class Driver : public sim::SimObject, public gpu::UvmBackend
 
     /**
      * Audit the residency bookkeeping: the BlockStore slab itself
-     * (run table, free list, backrefs, intrusive links), per-block
-     * residency vs the FramePool counts (with in-flight migrations
-     * accounted), LRU membership/migrateSeq order, the pinned-bit
-     * counter, and queued-flag vs queue-content agreement.
+     * (run table, free list, backrefs, rank array, pinned count),
+     * per-block residency vs the FramePool counts (with in-flight
+     * migrations accounted), LRU membership/migrateSeq order, and
+     * queued-flag vs queue-content agreement.
      */
     void checkInvariants(sim::CheckContext &ctx) const;
 
@@ -220,8 +223,20 @@ class Driver : public sim::SimObject, public gpu::UvmBackend
     /** Fault-handling thread body: fetch + preprocess + dispatch. */
     void handleFaults();
 
-    /** Migration thread body: serve one command, then reschedule. */
+    /**
+     * Migration thread body: serve one command, then reschedule; with
+     * both queues empty, clear migBusy_ and notify onMigrationIdle.
+     */
     void migrationStep();
+
+    /**
+     * Copy @p bytes over the link in direction @p dir, starting at
+     * @p t; return the completion tick. A @p demand copy (on the
+     * fault path) moves fault-granularity chunks, each with a
+     * handling round trip; otherwise one bulk copy.
+     */
+    sim::Tick transfer(sim::Tick t, std::uint64_t bytes, gpu::Dir dir,
+                       bool demand);
 
     /**
      * Evict victims until @p pages frames are free.
@@ -237,15 +252,9 @@ class Driver : public sim::SimObject, public gpu::UvmBackend
     /** A demand-faulted block became resident (or already was). */
     void resolveFault(mem::BlockId b);
 
-    /** Clear slot @p i's pinned bit (no-op when clear). */
-    void
-    unpin(BlockIndex i)
-    {
-        if (store_.at(i).pinned) {
-            store_.setPinned(i, false);
-            --pinnedCount_;
-        }
-    }
+    /** Schedule one GPU replay if the engine is stalled and none is
+     * pending (callers check that no fault is outstanding). */
+    void maybeReplay();
 
     const gpu::TimingConfig &cfg_;
     gpu::FaultBuffer &fb_;
@@ -270,8 +279,6 @@ class Driver : public sim::SimObject, public gpu::UvmBackend
     std::uint64_t migrateSeq_ = 0;
     /** Frames reserved for migrations whose completion is in flight. */
     std::uint64_t inFlightPages_ = 0;
-    /** Blocks with the pinned bit set (outstanding demand faults). */
-    std::uint64_t pinnedCount_ = 0;
 
     /**
      * Epoch-stamped per-batch fault dedupe, keyed by slab index: a

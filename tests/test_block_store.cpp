@@ -6,8 +6,9 @@
  * full-state comparison and the store's own invariant audit
  * interleaved; a seeded op sequence checking the victim index
  * (lruFirstUnpinned/lruFirstEvictable) against the linear LRU walks
- * it replaced after every step; plus targeted tests of relabelling,
- * free-slot reuse and the registration panics.
+ * it replaced after every step; plus targeted tests of relabelling
+ * (holes included), the pinned count, free-slot reuse, the rank
+ * audit and the registration panics.
  */
 
 #include <gtest/gtest.h>
@@ -195,11 +196,22 @@ template <typename Pred>
 BlockIndex
 walkFirst(const BlockStore &st, Pred ok)
 {
-    for (BlockIndex i = st.lruHead(); i != kNoBlockIndex;
-         i = st.at(i).lruNext)
+    for (mem::BlockId b : st.lruOrder()) {
+        BlockIndex i = st.find(b);
         if (ok(st.at(i)))
             return i;
+    }
     return kNoBlockIndex;
+}
+
+/** The LRU as BlockIds, oldest migration first. */
+std::vector<mem::BlockId>
+lruIds(const BlockStore &st)
+{
+    std::vector<mem::BlockId> ids;
+    for (mem::BlockId b : st.lruOrder())
+        ids.push_back(b);
+    return ids;
 }
 
 /** Both victim-index queries against the linear LRU walks. */
@@ -338,16 +350,65 @@ TEST(BlockStore, RelabelKeepsVictimsAndSizesToResidentSet)
         st.lruErase(i);
         st.lruPushBack(i);
     }
+    // Erase two blocks so the relabel compacts over holes, one of
+    // them the oldest of the churned blocks.
+    std::vector<mem::BlockId> want = lruIds(st);
+    ASSERT_EQ(want.size(), 8u);
+    mem::BlockId oldest = want[2];
+    mem::BlockId middle = want[5];
+    st.lruErase(st.find(oldest));
+    st.lruErase(st.find(middle));
+    std::erase(want, oldest);
+    std::erase(want, middle);
+    EXPECT_EQ(lruIds(st), want);
     st.relabel();
+    EXPECT_EQ(lruIds(st), want);
     EXPECT_EQ(st.lruFirstUnpinned(), base + 1);
+    EXPECT_EQ(st.lruFirstEvictable(), st.find(want[2]));
     EXPECT_EQ(st.lruFirstEvictable(), walkFirst(st, [](const BlockInfo &bi) {
                   return !bi.pinned && !bi.held;
               }));
-    // Eight resident blocks relabel into the 64-rank minimum.
+    // Six resident blocks relabel into the 64-rank minimum, ranked
+    // 0..5 in LRU order.
+    for (std::size_t k = 0; k < want.size(); ++k)
+        EXPECT_EQ(st.at(st.find(want[k])).lruRank, k);
     std::ostringstream os;
     st.dumpState(os);
-    EXPECT_NE(os.str().find("ranks=64 nextRank=8"), std::string::npos)
+    EXPECT_NE(os.str().find("ranks=64 nextRank=6"), std::string::npos)
         << os.str();
+    audit(st);
+    // The compacted array keeps taking pushes at the MRU end.
+    st.lruPushBack(st.find(oldest));
+    want.push_back(oldest);
+    EXPECT_EQ(lruIds(st), want);
+    audit(st);
+}
+
+TEST(BlockStore, PinnedCountIgnoresRepeatsAndDropsOnUnregister)
+{
+    BlockStore st;
+    BlockIndex a = st.registerRun(kBase, kBase + 4);
+    BlockIndex b = st.registerRun(kBase + 10, kBase + 12);
+    st.lruPushBack(a);
+    st.setPinned(a, true);
+    st.setPinned(a, true); // repeated: no second count
+    st.setPinned(a + 1, true); // not resident: still counted
+    st.setPinned(b, true);
+    EXPECT_EQ(st.pinnedCount(), 3u);
+    st.setPinned(a + 2, false); // clearing a clear bit: no-op
+    EXPECT_EQ(st.pinnedCount(), 3u);
+    st.setPinned(b, false);
+    st.setPinned(b, false);
+    EXPECT_EQ(st.pinnedCount(), 2u);
+    audit(st);
+    // Unregistering a run with pinned blocks drops their pins.
+    st.setPinned(b + 1, true);
+    EXPECT_EQ(st.pinnedCount(), 3u);
+    st.unregisterRun(kBase + 10, kBase + 12);
+    EXPECT_EQ(st.pinnedCount(), 2u);
+    st.lruErase(a);
+    st.unregisterRun(kBase, kBase + 4);
+    EXPECT_EQ(st.pinnedCount(), 0u);
     audit(st);
 }
 
@@ -385,8 +446,7 @@ TEST(BlockStore, FreshRecordsAfterReuse)
     EXPECT_EQ(i, j);
     EXPECT_EQ(st.at(j).migrateSeq, 0u);
     EXPECT_EQ(st.at(j).pages, 0u);
-    EXPECT_EQ(st.at(j).lruPrev, kNoBlockIndex);
-    EXPECT_EQ(st.at(j).lruNext, kNoBlockIndex);
+    EXPECT_EQ(st.at(j).lruRank, kNoLruRank);
     audit(st);
 }
 
@@ -399,6 +459,18 @@ TEST(BlockStoreDeath, PinnedBitWrittenPastTheIndexIsCaught)
     // Written around setPinned: the bitmaps still offer the slot.
     st.at(i).pinned = true;
     EXPECT_DEATH(audit(st), "unpinned bitmap disagrees");
+}
+
+TEST(BlockStoreDeath, RankWrittenPastTheArrayIsCaught)
+{
+    BlockStore st;
+    BlockIndex i = st.registerRun(kBase, kBase + 2);
+    st.lruPushBack(i);
+    st.lruPushBack(i + 1);
+    // Both records claim rank 0: rank 1 no longer names its slot's
+    // rank, and the audit must see it from the array side.
+    st.at(i + 1).lruRank = 0;
+    EXPECT_DEATH(audit(st), "rank 1 names slot 1, whose rank is 0");
 }
 
 TEST(BlockStoreDeath, OverlappingRegisterPanics)

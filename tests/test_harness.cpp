@@ -1,12 +1,14 @@
 /**
  * @file
  * Tests for the harness layer: session snapshots, the OC-DNN manual
- * prefetch mode, the mechanism-ablation flags, the energy model, and
- * the text reporters.
+ * prefetch mode, the mechanism-ablation flags, the energy model, the
+ * text reporters, and the max-batch search.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
 
 #include "harness/energy.hh"
@@ -163,6 +165,42 @@ TEST(Report, Geomean)
 }
 
 // ----------------------------------------------------- max batch
+
+TEST(Harness, SearchMaxBatchOnSyntheticPredicates)
+{
+    // lo fails: 0, after that one probe.
+    int probes = 0;
+    EXPECT_EQ(searchMaxBatch(8, 4096,
+                             [&](std::uint64_t) {
+                                 ++probes;
+                                 return false;
+                             }),
+              0u);
+    EXPECT_EQ(probes, 1);
+
+    // Everything fits: hi, also when hi is no power-of-two multiple
+    // of lo, and when the range is one batch.
+    auto always = [](std::uint64_t) { return true; };
+    EXPECT_EQ(searchMaxBatch(3, 1000, always), 1000u);
+    EXPECT_EQ(searchMaxBatch(5, 5, always), 5u);
+
+    // A sharp edge inside the range: the answer fits and is closer
+    // to the edge than max(1, answer/64), so it is exact below 128.
+    const std::uint64_t kEdges[] = {2,    3,     5,     63,    64,
+                                    65,   100,   127,   128,   1000,
+                                    1023, 4095,  9999,  65537, 100000,
+                                    199999};
+    for (std::uint64_t edge : kEdges) {
+        std::uint64_t got = searchMaxBatch(
+            2, 200000, [&](std::uint64_t b) { return b <= edge; });
+        EXPECT_LE(got, edge) << "edge " << edge;
+        EXPECT_LT(edge - got, std::max<std::uint64_t>(1, got / 64))
+            << "edge " << edge;
+        if (edge < 128) {
+            EXPECT_EQ(got, edge);
+        }
+    }
+}
 
 TEST(Harness, MaxBatchReturnsZeroWhenLoFails)
 {

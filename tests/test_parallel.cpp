@@ -164,16 +164,4 @@ TEST(ParallelDeterminism, SweepGridIdenticalOnOneAndManyThreads)
                          bench::cellLabel(grid[i]).c_str());
 }
 
-TEST(ParallelDeterminism, MaxBatchIdenticalWithAndWithoutPool)
-{
-    harness::ExperimentConfig cfg = bench::defaultConfig();
-    std::uint64_t serial = harness::maxBatch(
-        "gpt2-l", harness::SystemKind::DeepUm, cfg, 1, 16);
-    ParallelRunner pool(4);
-    std::uint64_t parallel = harness::maxBatch(
-        "gpt2-l", harness::SystemKind::DeepUm, cfg, 1, 16, &pool);
-    EXPECT_EQ(serial, parallel);
-    EXPECT_GE(serial, 1u);
-}
-
 } // namespace

@@ -3,7 +3,8 @@
  * Unit tests for the UVM driver: range registration, the Figure-3
  * fault pipeline (batch dedupe, unregistered-block faults, blocks
  * freed mid-batch), least-recently-migrated eviction, the inactive
- * invalidation path, prefetch-queue priority, and pre-eviction.
+ * invalidation path, prefetch-queue priority, and pre-eviction
+ * (including what its completion serves and when it goes idle).
  */
 
 #include <gtest/gtest.h>
@@ -308,6 +309,52 @@ TEST(UvmDriver, PreEvictionFreesFramesOffTheFaultPath)
     // The next fault needs no eviction.
     w.touch({b0 + 4});
     EXPECT_EQ(w.stats.get("uvm.demandEvictions"), 0u);
+}
+
+/** Counts the migration thread's idle notifications. */
+struct IdleCounter : DriverListener {
+    int idles = 0;
+    void onMigrationIdle() override { ++idles; }
+};
+
+TEST(UvmDriver, PreEvictionCompletionServesPrefetchQueuedMeanwhile)
+{
+    World w;
+    IdleCounter idle;
+    w.drv.addListener(&idle);
+    mem::VAddr va = w.reg(6);
+    mem::BlockId b0 = mem::blockOf(va);
+    w.touch({b0, b0 + 1, b0 + 2, b0 + 3}); // GPU full
+    idle.idles = 0;
+    ASSERT_TRUE(w.drv.preEvictOne());
+    // Accepted while the eviction holds the migration thread; only
+    // the eviction's completion can start serving it.
+    EXPECT_TRUE(w.drv.enqueuePrefetch(b0 + 5, 0));
+    EXPECT_FALSE(w.drv.migrationIdle());
+    w.eq.run();
+    EXPECT_EQ(w.drv.blockInfo(b0 + 5).loc, Loc::Device);
+    EXPECT_EQ(w.stats.get("uvm.prefetchCompleted"), 1u);
+    EXPECT_EQ(w.stats.get("uvm.demandEvictions"), 0u);
+    EXPECT_TRUE(w.drv.migrationIdle());
+    // Idle once, after the prefetch, not after the eviction too.
+    EXPECT_EQ(idle.idles, 1);
+}
+
+TEST(UvmDriver, PreEvictionWithNothingQueuedGoesIdleOnce)
+{
+    World w;
+    IdleCounter idle;
+    w.drv.addListener(&idle);
+    mem::VAddr va = w.reg(4);
+    mem::BlockId b0 = mem::blockOf(va);
+    w.touch({b0, b0 + 1, b0 + 2, b0 + 3});
+    idle.idles = 0;
+    ASSERT_TRUE(w.drv.preEvictOne());
+    EXPECT_EQ(idle.idles, 0); // still busy until the completion
+    w.eq.run();
+    EXPECT_TRUE(w.drv.migrationIdle());
+    EXPECT_EQ(idle.idles, 1);
+    EXPECT_EQ(w.stats.get("uvm.preEvictions"), 1u);
 }
 
 TEST(UvmDriver, UnregisterReleasesResidentFrames)
