@@ -1,6 +1,7 @@
 #include "core/block_correlation_table.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <ostream>
 
@@ -29,6 +30,7 @@ BlockCorrelationTable::BlockCorrelationTable(const BlockTableConfig &cfg)
                   "degenerate block-table geometry");
     const std::size_t ways = std::size_t(cfg_.numRows) * cfg_.assoc;
     entries_.resize(ways);
+    occupied_.assign((ways + 63) / 64, 0);
     succSlab_.assign(ways * cfg_.numSuccs, uvm::kNoBlock);
 }
 
@@ -68,6 +70,8 @@ BlockCorrelationTable::record(mem::BlockId prev, mem::BlockId next)
         }
         if (victim->tag != uvm::kNoBlock)
             ++replacements_;
+        const auto way = static_cast<std::size_t>(victim - entries_.data());
+        occupied_[way / 64] |= std::uint64_t{1} << (way % 64);
         victim->tag = prev;
         victim->succCount = 0;
         e = victim;
@@ -127,30 +131,34 @@ BlockCorrelationTable::successors(mem::BlockId b) const
 }
 
 void
-BlockCorrelationTable::freshTags(std::uint32_t window,
-                                 std::vector<mem::BlockId> &out) const
+BlockCorrelationTable::freshWays(std::uint32_t window,
+                                 std::vector<std::uint32_t> &out) const
 {
     out.clear();
-    for (const auto &e : entries_) {
-        if (e.tag == uvm::kNoBlock)
-            continue;
-        if (e.lastEpoch + window >= epoch_)
-            support::pushAmortized(out, e.tag);
+    for (std::size_t word = 0; word < occupied_.size(); ++word) {
+        for (std::uint64_t bits = occupied_[word]; bits != 0;
+             bits &= bits - 1) {
+            const auto way = static_cast<std::uint32_t>(
+                word * 64 + unsigned(std::countr_zero(bits)));
+            if (entries_[way].lastEpoch + window >= epoch_)
+                support::pushAmortized(out, way);
+        }
     }
-}
-
-std::vector<mem::BlockId>
-BlockCorrelationTable::freshTags(std::uint32_t window) const
-{
-    std::vector<mem::BlockId> tags;
-    freshTags(window, tags);
-    return tags;
 }
 
 void
 BlockCorrelationTable::refresh(mem::BlockId b)
 {
     (void)visit(b);
+}
+
+void
+BlockCorrelationTable::refreshWay(std::uint32_t way)
+{
+    Entry &e = entries_[way];
+    DEEPUM_ASSERT(e.tag != uvm::kNoBlock, "refreshing empty way %u", way);
+    e.lastUse = ++useClock_;
+    e.lastEpoch = epoch_;
 }
 
 SuccView
@@ -210,9 +218,21 @@ BlockCorrelationTable::checkInvariants(sim::CheckContext &ctx) const
                     entries_.size() * std::size_t(cfg_.numSuccs),
                 "successor slab holds %zu slots for %zu ways of %u",
                 succSlab_.size(), entries_.size(), cfg_.numSuccs);
+    ctx.require(occupied_.size() == (entries_.size() + 63) / 64,
+                "occupied bitmap holds %zu words for %zu ways",
+                occupied_.size(), entries_.size());
+    // Bits past the last way would be swept as ways that do not exist.
+    if (entries_.size() % 64 != 0)
+        ctx.require((occupied_.back() >> (entries_.size() % 64)) == 0,
+                    "occupied bitmap marks ways past the %zu-way slab",
+                    entries_.size());
     for (std::size_t i = 0; i < entries_.size(); ++i) {
         const Entry &e = entries_[i];
         const std::size_t set = i / cfg_.assoc;
+        const bool bit = (occupied_[i / 64] >> (i % 64)) & 1;
+        ctx.require(bit == (e.tag != uvm::kNoBlock),
+                    "occupied bit %d of way %zu disagrees with its tag",
+                    int(bit), i);
         if (e.tag == uvm::kNoBlock) {
             ctx.require(e.succCount == 0 && e.lastUse == 0 &&
                             e.lastEpoch == 0,

@@ -19,6 +19,11 @@
  * successor storage never moves for the table's lifetime, so the
  * SuccView returned by successors() stays valid (it re-reads current
  * contents) instead of dangling like the former vector reference.
+ *
+ * A bitmap beside the entry slab marks the occupied ways (set when
+ * record() allocates a way, cleared when a way is reset), so the
+ * prefetcher's fresh-way sweep visits live entries only, in way
+ * order, and hands back way indices it refreshes without a probe.
  */
 
 #pragma once
@@ -125,26 +130,34 @@ class BlockCorrelationTable
     std::uint32_t bestSequenceLen() const { return bestLen_; }
 
     /**
-     * Append the tags of entries touched within the last @p window
-     * executions to @p out (cleared first), in slab order.
+     * Append the slab indices of the ways touched within the last
+     * @p window executions to @p out (cleared first), in way order.
      *
      * A kernel's fault-learned graph can split into disconnected
      * components (blocks that stop faulting because prefetching
      * covers them stop being re-linked), so chaining from `start`
      * alone oscillates between components. Issuing every *live*
-     * entry on kernel entry breaks the oscillation; refresh() keeps
-     * successfully-prefetched entries live. The out-parameter form
-     * lets the prefetcher reuse one scratch vector across
-     * activations (allocation-free steady state).
+     * entry on kernel entry breaks the oscillation; refreshWay()
+     * keeps successfully-prefetched entries live. The sweep walks
+     * the occupied-way bitmap with find-first-set, so it costs the
+     * live entries, not the geometry; the out-parameter form lets
+     * the prefetcher reuse one scratch vector across activations
+     * (allocation-free steady state).
      */
-    DEEPUM_NOALLOC void freshTags(std::uint32_t window,
-                                  std::vector<mem::BlockId> &out) const;
+    DEEPUM_NOALLOC void freshWays(std::uint32_t window,
+                                  std::vector<std::uint32_t> &out) const;
 
-    /** Convenience allocating form (tests). */
-    std::vector<mem::BlockId> freshTags(std::uint32_t window) const;
+    /** Tag of the way at slab index @p way (kNoBlock when empty). */
+    mem::BlockId tagAt(std::uint32_t way) const { return entries_[way].tag; }
 
     /** Mark @p b's entry as used this epoch (chain visit). */
     DEEPUM_NOALLOC void refresh(mem::BlockId b);
+
+    /**
+     * Mark the occupied way @p way as used this epoch: visit() on
+     * its tag without the set probe (the sweep already found it).
+     */
+    DEEPUM_NOALLOC void refreshWay(std::uint32_t way);
 
     /**
      * refresh(@p b) and successors(@p b) on one set probe: the chain
@@ -200,8 +213,9 @@ class BlockCorrelationTable
      * Audit structural invariants (sim/validate.hh): tags hash to
      * their set, no duplicate tags within a set, successor counts
      * within the inline capacity and the listed successors
-     * duplicate-free, use/epoch stamps within the counters, and
-     * empty ways fully reset.
+     * duplicate-free, use/epoch stamps within the counters, empty
+     * ways fully reset, and a way's occupied bit set exactly when
+     * it holds a tag.
      */
     void checkInvariants(sim::CheckContext &ctx) const;
 
@@ -261,11 +275,17 @@ class BlockCorrelationTable
     resetWay(std::size_t way)
     {
         entries_[way] = Entry{};
+        occupied_[way / 64] &= ~(std::uint64_t{1} << (way % 64));
     }
+
+    /** Test-only access to private state (seeded-corruption tests). */
+    friend struct BlockCorrelationTableTestAccess;
 
     BlockTableConfig cfg_;
     std::vector<Entry> entries_;        ///< numRows * assoc, set-major
     std::vector<mem::BlockId> succSlab_; ///< numRows*assoc*numSuccs
+    /** Bit w%64 of word w/64 is set iff way w holds a tag. */
+    std::vector<std::uint64_t> occupied_;
     mem::BlockId start_ = uvm::kNoBlock;
     mem::BlockId end_ = uvm::kNoBlock;
     std::uint64_t useClock_ = 0;

@@ -53,7 +53,8 @@ Prefetcher::pushSlot(ExecId exec)
                   "prediction window overflows its ring");
     Slot &s = slotAt(slotCount_);
     s.exec = exec;
-    s.blocks.clear(); // recycled slot: keep the list's capacity
+    s.gen = ++protGen_; // retires every stamp the slot left behind
+    s.blocks.clear();   // recycled slot: keep the list's capacity
     ++slotCount_;
 }
 
@@ -71,10 +72,15 @@ Prefetcher::dropProt(uvm::BlockIndex i)
 void
 Prefetcher::protect(std::size_t slot, mem::BlockId b, uvm::BlockIndex i)
 {
-    support::pushAmortized(slotAt(slot).blocks, ProtEntry{b, i});
     if (i == uvm::kNoBlockIndex)
-        return; // unknown block: nothing to refcount
-    growScratch();
+        return; // unknown block: nothing to hold
+    const std::size_t pos = ringPos(slot);
+    Slot &s = slotBuf_[pos];
+    std::uint64_t &stamp = stampAt(i, pos);
+    if (stamp == s.gen)
+        return; // a restarted chain re-issued what this slot holds
+    stamp = s.gen;
+    support::pushAmortized(s.blocks, ProtEntry{b, i});
     if (protCount_[i]++ == 0) {
         ++protectedDistinct_;
         drv_.setHeld(i, true);
@@ -126,11 +132,14 @@ Prefetcher::onRangeUnregistered(mem::BlockId first, mem::BlockId end)
     // already dropped the run, so the ids no longer resolve, but the
     // slots are not reusable until a later registration — which
     // cannot happen before this hook returns.
+    // Their stamps are cleared too, or a block registered later in
+    // the same slot would read as already listed.
     for (std::size_t i = 0; i < slotCount_; ++i) {
         for (ProtEntry &e : slotAt(i).blocks) {
             if (e.block >= first && e.block < end &&
                 e.idx != uvm::kNoBlockIndex) {
                 dropProt(e.idx);
+                stampAt(e.idx, ringPos(i)) = 0;
                 e.idx = uvm::kNoBlockIndex;
             }
         }
@@ -207,6 +216,7 @@ Prefetcher::onFaultBlocks(const std::vector<mem::BlockId> &blocks)
 
     // Paper Section 4.2: a new fault interrupt ends the running chain
     // and starts a fresh one from the faulted blocks.
+    growScratch();
     active_ = true;
     paused_ = false;
     predCur_ = cur;
@@ -245,13 +255,16 @@ Prefetcher::enterKernelTable(std::size_t slot)
         return;
     // Issue every live entry of the kernel's table, not only the
     // start component: blocks covered by prefetching stop faulting
-    // and would otherwise fall out of the chain (see freshTags()).
-    bt->freshTags(cfg_.freshEpochWindow, freshScratch_);
-    for (mem::BlockId t : freshScratch_) {
+    // and would otherwise fall out of the chain (see freshWays()).
+    // issue() never touches the block tables, so the swept ways keep
+    // their tags through the loop.
+    bt->freshWays(cfg_.freshEpochWindow, freshScratch_);
+    for (std::uint32_t way : freshScratch_) {
+        mem::BlockId t = bt->tagAt(way);
         uvm::BlockIndex i = drv_.store().find(t);
         if (!markSeen(i))
             continue;
-        bt->refresh(t);
+        bt->refreshWay(way);
         issue(slot, t, i);
         support::pushAmortized(walk_, t);
         if (budget_ == 0)
@@ -286,6 +299,7 @@ Prefetcher::onKernelEnd()
 {
     if (active_ && paused_) {
         paused_ = false;
+        growScratch();
         runChain();
     }
 }
@@ -415,8 +429,23 @@ Prefetcher::checkInvariants(sim::CheckContext &ctx) const
     // with the dense protection array exactly.
     std::vector<std::uint32_t> expected(protCount_.size(), 0);
     std::size_t expected_distinct = 0;
+    const std::size_t ring = slotBuf_.size();
+    ctx.require(protStamp_.size() == protCount_.size() * ring,
+                "protection stamps hold %zu entries for %zu slab "
+                "slots x %zu ring positions",
+                protStamp_.size(), protCount_.size(), ring);
+    // The window slot that last listed each index (dedupe check).
+    std::vector<std::size_t> listedIn(protCount_.size(), ring);
     for (std::size_t w = 0; w < slotCount_; ++w) {
         const Slot &s = slotAt(w);
+        const std::size_t pos = ringPos(w);
+        ctx.require(s.gen != 0 && s.gen <= protGen_,
+                    "slot %zu generation %llu outside (0, %llu]", w,
+                    static_cast<unsigned long long>(s.gen),
+                    static_cast<unsigned long long>(protGen_));
+        // Each listed index carries the slot's stamp, and only listed
+        // indices do: counting the stamps proves both directions.
+        std::size_t listed = 0;
         for (const ProtEntry &e : s.blocks) {
             if (e.idx == uvm::kNoBlockIndex)
                 continue;
@@ -433,9 +462,27 @@ Prefetcher::checkInvariants(sim::CheckContext &ctx) const
                         "index %u",
                         static_cast<unsigned long long>(e.block),
                         e.idx);
+            const std::uint64_t st = protStamp_[e.idx * ring + pos];
+            ctx.require(st == s.gen,
+                        "slot %zu entry for block %llu carries stamp "
+                        "%llu, slot generation %llu",
+                        w, static_cast<unsigned long long>(e.block),
+                        static_cast<unsigned long long>(st),
+                        static_cast<unsigned long long>(s.gen));
+            ++listed;
+            ctx.require(listedIn[e.idx] != w,
+                        "slot %zu lists slab index %u twice", w, e.idx);
+            listedIn[e.idx] = w;
             if (expected[e.idx]++ == 0)
                 ++expected_distinct;
         }
+        std::size_t stamped = 0;
+        for (std::size_t i = 0; i < protCount_.size(); ++i)
+            stamped += protStamp_[i * ring + pos] == s.gen;
+        ctx.require(stamped == listed,
+                    "slot %zu generation stamps %zu slab slots, its "
+                    "list names %zu",
+                    w, stamped, listed);
     }
     ctx.require(expected_distinct == protectedDistinct_,
                 "protection array holds %zu blocks, slots reference "

@@ -17,17 +17,23 @@
  * DeepUM eviction policy honours (Section 5.1). Both the walk
  * dedupe and the protection refcounts are dense arrays keyed by the
  * driver's BlockStore slab indices: the dedupe is epoch-stamped (a
- * generation bump is the O(1) per-activation clear). A refcount's
- * 0<->1 transitions set and clear the block's hold bit in the store,
- * which is all the eviction policy reads. Each walked block is
- * resolved to its slab index once, and that index feeds the dedupe,
- * the refcount and the driver's prefetch enqueue.
+ * generation bump is the O(1) per-activation clear). Each window
+ * slot lists a block at most once: a stamp per (slab index, ring
+ * position) records the slot generation that last listed it, so a
+ * chain restart that re-issues what the previous chain protected
+ * pushes nothing. A refcount counts the slots listing its block, and
+ * its 0<->1 transitions set and clear the block's hold bit in the
+ * store, which is all the eviction policy reads. Each walked block
+ * is resolved to its slab index once, and that index feeds the
+ * dedupe, the protection stamp, the refcount and the driver's
+ * prefetch enqueue.
  *
  * The steady-state chain walk is allocation-free: the prediction
  * window is a fixed ring of slots whose protection lists keep their
  * capacity across reuse, the walk queue is a reused vector consumed
  * by index, visit() returns a view into the table's inline slab, the
- * fresh-tag sweep fills a reused scratch vector, and the pending
+ * fresh-way sweep fills a reused scratch vector with way indices
+ * that are refreshed in place (no second set probe), and the pending
  * completion ticks live in an ExecId-indexed dense table whose
  * per-exec vectors are drained with clear() (capacity retained).
  * That contract is machine-checked: the fault/chain entry points are
@@ -46,7 +52,9 @@
 #include "core/config.hh"
 #include "core/correlator.hh"
 #include "core/exec_correlation_table.hh"
+#include "sim/logging.hh"
 #include "sim/stats.hh"
+#include "sim/validate.hh"
 #include "support/annotations.hh"
 #include "uvm/driver.hh"
 
@@ -108,12 +116,14 @@ class Prefetcher
     /**
      * Audit the protection bookkeeping (sim/validate.hh): the
      * refcount array must equal the multiset union of the slot block
-     * lists, live slot entries must name the slab slot their block
-     * still occupies, every slab slot's store hold bit must equal
-     * its refcount being nonzero, the window must respect the
-     * lookahead bound, the chain cursor must point into the window,
-     * and the pending completion table's non-empty counter must
-     * match its slots.
+     * lists, no slot may list a slab index twice, a (slab index,
+     * ring position) stamp must equal its slot's generation exactly
+     * when that slot lists the index, live slot entries must name
+     * the slab slot their block still occupies, every slab slot's
+     * store hold bit must equal its refcount being nonzero, the
+     * window must respect the lookahead bound, the chain cursor must
+     * point into the window, and the pending completion table's
+     * non-empty counter must match its slots.
      */
     void checkInvariants(sim::CheckContext &ctx) const;
 
@@ -130,25 +140,39 @@ class Prefetcher
     /** One kernel's slot in the prediction window. */
     struct Slot {
         ExecId exec = kNoExecId;
-        std::vector<ProtEntry> blocks; ///< protected for this slot
+        /** Stamp of this slot's listings in protStamp_; a fresh value
+         * from protGen_ each time the slot is pushed. */
+        std::uint64_t gen = 0;
+        std::vector<ProtEntry> blocks; ///< distinct blocks protected
     };
 
-    /** Window slot @p i (0 = running kernel, then predicted). */
-    Slot &
-    slotAt(std::size_t i)
+    /** Ring position of window slot @p i. */
+    std::size_t
+    ringPos(std::size_t i) const
     {
-        return slotBuf_[(slotHead_ + i) % slotBuf_.size()];
+        return (slotHead_ + i) % slotBuf_.size();
     }
-    const Slot &
-    slotAt(std::size_t i) const
+
+    /** Window slot @p i (0 = running kernel, then predicted). */
+    Slot &slotAt(std::size_t i) { return slotBuf_[ringPos(i)]; }
+    const Slot &slotAt(std::size_t i) const { return slotBuf_[ringPos(i)]; }
+
+    /** Protection stamp of slab slot @p i at ring position @p pos. */
+    std::uint64_t &
+    stampAt(uvm::BlockIndex i, std::size_t pos)
     {
-        return slotBuf_[(slotHead_ + i) % slotBuf_.size()];
+        return protStamp_[std::size_t(i) * slotBuf_.size() + pos];
     }
 
     /** Append a window slot for @p exec (ring reuse, no allocation). */
     DEEPUM_NOALLOC void pushSlot(ExecId exec);
 
-    /** Size the index-keyed scratch arrays to the driver's slab. */
+    /**
+     * Size the index-keyed scratch arrays to the driver's slab. Runs
+     * once per activation (onFaultBlocks, a resumed onKernelEnd):
+     * ranges register between events, never during a chain, so the
+     * per-candidate markSeen()/protect() index the arrays directly.
+     */
     DEEPUM_ALLOC_OK("scratch arrays grow with the slab, not per fault")
     void
     growScratch()
@@ -157,6 +181,7 @@ class Prefetcher
         if (protCount_.size() < n) {
             protCount_.resize(n, 0);
             seenEpoch_.resize(n, 0);
+            protStamp_.resize(n * slotBuf_.size(), 0);
         }
     }
 
@@ -171,7 +196,9 @@ class Prefetcher
     {
         if (i == uvm::kNoBlockIndex)
             return true;
-        growScratch();
+        if constexpr (sim::kValidateBuild)
+            DEEPUM_ASSERT(i < seenEpoch_.size(),
+                          "slab slot %u registered mid-chain", i);
         if (seenEpoch_[i] == seenGen_)
             return false;
         seenEpoch_[i] = seenGen_;
@@ -198,7 +225,10 @@ class Prefetcher
     /** Drop one protection reference on slab slot @p i. */
     DEEPUM_NOALLOC void dropProt(uvm::BlockIndex i);
 
-    /** Add @p b (slab slot @p i) to @p slot's protection list. */
+    /**
+     * Add @p b (slab slot @p i) to @p slot's protection list unless
+     * the slot already lists it.
+     */
     DEEPUM_NOALLOC void protect(std::size_t slot, mem::BlockId b,
                                 uvm::BlockIndex i);
 
@@ -248,8 +278,15 @@ class Prefetcher
     std::size_t slotHead_ = 0;
     std::size_t slotCount_ = 0;
 
-    /** Protection refcounts, keyed by slab index. */
+    /** Slots listing each block, keyed by slab index. */
     std::vector<std::uint32_t> protCount_;
+    /**
+     * Per-slot listing stamps, slab-index-major: entry
+     * i * ring size + pos holds the generation of the ring slot at
+     * pos that last listed slab index i. 0 never names a live slot.
+     */
+    std::vector<std::uint64_t> protStamp_;
+    std::uint64_t protGen_ = 0; ///< last slot generation handed out
     /** Slots with a nonzero protection refcount. */
     std::size_t protectedDistinct_ = 0;
 
@@ -270,8 +307,8 @@ class Prefetcher
      * walkHead_ (FIFO without deque segment churn). */
     std::vector<mem::BlockId> walk_;
     std::size_t walkHead_ = 0;
-    /** Scratch for the fresh-tag sweep (reused across activations). */
-    std::vector<mem::BlockId> freshScratch_;
+    /** Scratch for the fresh-way sweep (reused across activations). */
+    std::vector<std::uint32_t> freshScratch_;
     /** Epoch-stamped walk dedupe, keyed by slab index. */
     std::vector<std::uint64_t> seenEpoch_;
     std::uint64_t seenGen_ = 1;      ///< current walk generation

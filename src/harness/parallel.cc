@@ -11,12 +11,6 @@ thread_local bool tls_in_worker = false;
 
 } // namespace
 
-bool
-ParallelRunner::inWorker()
-{
-    return tls_in_worker;
-}
-
 ParallelRunner::ParallelRunner(unsigned jobs)
     : jobs_(jobs != 0
                 ? jobs

@@ -83,9 +83,6 @@ class ParallelRunner
         return out;
     }
 
-    /** True when called from inside one of this pool's workers. */
-    static bool inWorker();
-
   private:
     void workerLoop();
 

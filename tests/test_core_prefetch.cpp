@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "mem/frame_pool.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
+#include "sim/validate.hh"
 #include "uvm/driver.hh"
 
 using namespace deepum;
@@ -311,6 +313,120 @@ TEST(DeepUmPipeline, InvalidationFlagReachesDriver)
     w.launch("more", 3, {b0 + 8, b0 + 9});
     EXPECT_GT(w.stats.get("uvm.invalidatedBlocks"), 0u);
     EXPECT_EQ(w.stats.get("uvm.evictedBlocks"), 0u);
+}
+
+/** Run DeepUM's own audit (tables and prefetcher); a violation
+ * aborts the test with a state dump. */
+void
+auditDeepUm(const DeepUm &dum)
+{
+    sim::CheckContext ctx("DeepUm", "test",
+                          [&](std::ostream &os) { dum.dumpState(os); });
+    dum.checkInvariants(ctx);
+    EXPECT_GT(ctx.checks(), 0u);
+}
+
+/** The store's hold bits, slab order. */
+std::vector<bool>
+holdBits(const uvm::Driver &drv)
+{
+    std::vector<bool> held;
+    for (uvm::BlockIndex i = 0; i < drv.store().slabSize(); ++i)
+        held.push_back(drv.store().at(i).held);
+    return held;
+}
+
+std::string
+dumpOf(const Prefetcher &pf)
+{
+    std::ostringstream os;
+    pf.dumpState(os);
+    return os.str();
+}
+
+TEST(DeepUmPipeline, ChainRestartsInOneKernelKeepTheProtectedSet)
+{
+    DeepUmConfig cfg;
+    cfg.preevictWatermarkPages = mem::kPagesPerBlock;
+    cfg.lookaheadN = 2;
+    DeepUmWorld w(cfg);
+    mem::BlockId b0 = mem::blockOf(w.reg(12));
+    for (int i = 0; i < 4; ++i)
+        for (int k = 0; k < 6; ++k)
+            w.launch(kernelName(k), k,
+                     {b0 + 2 * k, b0 + 2 * k + 1});
+
+    // Enter kernel 0 again and deliver its faults as several batches
+    // without running it. Each batch restarts the chain, which
+    // re-issues everything the previous chain already protected.
+    w.dum->notifyKernelLaunch(w.ids_[0]);
+    const Prefetcher &pf = w.dum->prefetcher();
+    const auto chains = w.stats.get("prefetcher.chainsStarted");
+    const auto issued = w.stats.get("prefetcher.blocksIssued");
+    std::size_t protected_first = 0;
+    std::vector<bool> held_first;
+    std::string dump_first;
+    for (int restart = 0; restart < 4; ++restart) {
+        w.dum->onFaultBatch({b0, b0 + 1});
+        auditDeepUm(*w.dum);
+        if (restart == 0) {
+            protected_first = pf.protectedCount();
+            held_first = holdBits(w.drv);
+            dump_first = dumpOf(pf);
+            continue;
+        }
+        EXPECT_EQ(pf.protectedCount(), protected_first) << restart;
+        EXPECT_EQ(holdBits(w.drv), held_first) << restart;
+        // The slot lists did not grow: each still names a block once.
+        EXPECT_EQ(dumpOf(pf), dump_first) << restart;
+    }
+    EXPECT_EQ(w.stats.get("prefetcher.chainsStarted"), chains + 4);
+    // The chain reached past the faulted pair into predicted kernels,
+    // and every restart issued its candidates again.
+    EXPECT_GT(protected_first, 2u);
+    EXPECT_GE(w.stats.get("prefetcher.blocksIssued"),
+              issued + 4 * (protected_first - 2));
+}
+
+TEST(DeepUmPipeline, FreedRangeScrubsItsProtection)
+{
+    DeepUmConfig cfg;
+    cfg.preevictWatermarkPages = mem::kPagesPerBlock;
+    cfg.lookaheadN = 2;
+    DeepUmWorld w(cfg);
+    mem::BlockId a0 = mem::blockOf(w.reg(6));
+    const mem::VAddr vb = mem::kUmBase + 64 * mem::kBlockBytes;
+    w.drv.registerRange(vb, 6 * mem::kBlockBytes);
+    mem::BlockId b0 = mem::blockOf(vb);
+    for (int i = 0; i < 4; ++i)
+        for (int k = 0; k < 6; ++k)
+            w.launch(kernelName(k), k, {a0 + k, b0 + k});
+    const Prefetcher &pf = w.dum->prefetcher();
+    bool b_held = false;
+    for (mem::BlockId b = b0; b < b0 + 6; ++b)
+        b_held = b_held || pf.isProtected(b);
+    ASSERT_TRUE(b_held);
+
+    // Free B while the window still protects some of its blocks; a
+    // range registered next reuses B's slab slots and must be
+    // protected afresh in the same window slots.
+    const uvm::BlockIndex b_slot = w.drv.store().find(b0);
+    w.drv.unregisterRange(vb, 6 * mem::kBlockBytes);
+    auditDeepUm(*w.dum);
+    const mem::VAddr vc = mem::kUmBase + 128 * mem::kBlockBytes;
+    w.drv.registerRange(vc, 6 * mem::kBlockBytes);
+    mem::BlockId c0 = mem::blockOf(vc);
+    ASSERT_EQ(w.drv.store().find(c0), b_slot);
+    for (int i = 0; i < 3; ++i) {
+        for (int k = 0; k < 6; ++k) {
+            w.launch(kernelName(k), 100 + k, {a0 + k, c0 + k});
+            auditDeepUm(*w.dum);
+        }
+    }
+    bool c_held = false;
+    for (mem::BlockId c = c0; c < c0 + 6; ++c)
+        c_held = c_held || pf.isProtected(c);
+    EXPECT_TRUE(c_held);
 }
 
 // ----------------------------------------------------- eviction policy

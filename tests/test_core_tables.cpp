@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/block_correlation_table.hh"
 #include "core/exec_correlation_table.hh"
 #include "core/execution_id_table.hh"
@@ -216,20 +219,25 @@ TEST(BlockCorrelationTable, CaptureAdoptsPersistentlyShorterPattern)
     EXPECT_EQ(t.end(), 60u);
 }
 
-TEST(BlockCorrelationTable, FreshTagsTracksRecentEpochs)
+TEST(BlockCorrelationTable, FreshWaysTracksRecentEpochs)
 {
     BlockCorrelationTable t(smallCfg());
+    std::vector<std::uint32_t> ways;
     t.record(1, 2);
     t.captureStartEnd(1, 2, 2); // epoch 1
-    auto tags = t.freshTags(2);
-    EXPECT_EQ(tags.size(), 1u);
+    t.freshWays(2, ways);
+    ASSERT_EQ(ways.size(), 1u);
+    EXPECT_EQ(t.tagAt(ways[0]), 1u);
     // Age the entry past the window.
     for (int i = 0; i < 5; ++i)
         t.captureStartEnd(7, 8, 2);
-    EXPECT_TRUE(t.freshTags(2).empty());
-    // refresh() brings it back.
-    t.refresh(1);
-    EXPECT_EQ(t.freshTags(2).size(), 1u);
+    t.freshWays(2, ways);
+    EXPECT_TRUE(ways.empty());
+    // A chain visit brings it back.
+    (void)t.visit(1);
+    t.freshWays(2, ways);
+    ASSERT_EQ(ways.size(), 1u);
+    EXPECT_EQ(t.tagAt(ways[0]), 1u);
 }
 
 TEST(BlockCorrelationTable, EraseDropsEntry)

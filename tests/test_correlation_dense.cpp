@@ -5,9 +5,10 @@
  * trivially-correct reference models (maps and plain vectors), with
  * the tables' own invariant audits interleaved. Exercises the parts
  * the slab layout makes subtle — set-conflict LRU replacement, MRU
- * reordering at successor capacity, range erasure compaction — plus
- * the SuccView lifetime contract and the allocation-free guarantee
- * of the steady-state record/lookup paths.
+ * reordering at successor capacity, range erasure compaction, the
+ * occupied-way bitmap behind the fresh-way sweep — plus the SuccView
+ * lifetime contract and the allocation-free guarantee of the
+ * steady-state record/lookup paths.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,8 @@
 #include <cstdlib>
 #include <map>
 #include <new>
+#include <sstream>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -29,6 +32,19 @@
 
 using namespace deepum;
 using namespace deepum::core;
+
+namespace deepum::core {
+
+/** Seeds corruption into a table's private state (death tests). */
+struct BlockCorrelationTableTestAccess {
+    static void
+    flipOccupied(BlockCorrelationTable &t, std::size_t way)
+    {
+        t.occupied_[way / 64] ^= std::uint64_t{1} << (way % 64);
+    }
+};
+
+} // namespace deepum::core
 
 // successors() must hand out a value-type view, never a reference
 // into table internals (the former dangling-reference footgun).
@@ -60,7 +76,11 @@ struct AllocWindow {
 
 } // namespace
 
-void *
+// The replacements stay out of line: inlined into a container's
+// deallocation, free() would meet a pointer gcc traced to operator
+// new and warn (-Wmismatched-new-delete), although this file pairs
+// malloc with free throughout.
+[[gnu::noinline]] void *
 operator new(std::size_t n)
 {
     if (g_count_allocs)
@@ -70,7 +90,7 @@ operator new(std::size_t n)
     throw std::bad_alloc();
 }
 
-void *
+[[gnu::noinline]] void *
 operator new[](std::size_t n)
 {
     if (g_count_allocs)
@@ -80,25 +100,25 @@ operator new[](std::size_t n)
     throw std::bad_alloc();
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);
@@ -143,6 +163,7 @@ auditExec(const ExecCorrelationTable &t)
 struct RefEntry {
     mem::BlockId tag;
     std::uint64_t lastUse;
+    std::uint32_t lastEpoch;
     std::vector<mem::BlockId> succs; ///< MRU first
 };
 
@@ -150,6 +171,7 @@ struct RefTable {
     BlockTableConfig cfg;
     std::vector<std::vector<RefEntry>> sets; ///< each <= cfg.assoc
     std::uint64_t clock = 0;
+    std::uint32_t epoch = 0;
 
     explicit RefTable(const BlockTableConfig &c)
         : cfg(c), sets(c.numRows)
@@ -179,7 +201,7 @@ struct RefTable {
             if (set.size() < cfg.assoc) {
                 // First invalid way wins: invalid ways are exactly
                 // the tail positions the dense table fills in order.
-                set.push_back(RefEntry{prev, 0, {}});
+                set.push_back(RefEntry{prev, 0, 0, {}});
                 e = &set.back();
             } else {
                 // Strict-< LRU: the earliest minimum survives ties.
@@ -192,12 +214,36 @@ struct RefTable {
             }
         }
         e->lastUse = ++clock;
+        e->lastEpoch = epoch;
         auto it = std::find(e->succs.begin(), e->succs.end(), next);
         if (it != e->succs.end())
             e->succs.erase(it);
         else if (e->succs.size() == cfg.numSuccs)
             e->succs.pop_back(); // drop LRU at capacity
         e->succs.insert(e->succs.begin(), next);
+    }
+
+    /** visit(): refresh the entry's use and epoch stamps. */
+    void
+    visit(mem::BlockId b)
+    {
+        if (RefEntry *e = find(b)) {
+            e->lastUse = ++clock;
+            e->lastEpoch = epoch;
+        }
+    }
+
+    /** Tags touched within the last @p window epochs, any order. */
+    std::vector<mem::BlockId>
+    freshTags(std::uint32_t window) const
+    {
+        std::vector<mem::BlockId> out;
+        for (const auto &set : sets)
+            for (const RefEntry &e : set)
+                if (e.lastEpoch + window >= epoch)
+                    out.push_back(e.tag);
+        std::sort(out.begin(), out.end());
+        return out;
     }
 
     void
@@ -361,7 +407,7 @@ TEST(CorrelationDense, SteadyStateRecordPathDoesNotAllocate)
 {
     BlockTableConfig cfg{64, 2, 4};
     BlockCorrelationTable t(cfg); // slabs sized here, once
-    std::vector<mem::BlockId> scratch;
+    std::vector<std::uint32_t> scratch;
     scratch.reserve(std::size_t(cfg.numRows) * cfg.assoc);
 
     AllocWindow w;
@@ -372,11 +418,131 @@ TEST(CorrelationDense, SteadyStateRecordPathDoesNotAllocate)
         for (mem::BlockId s : t.successors(prev))
             sink += s;
         if (i % 64 == 0) {
-            t.freshTags(4, scratch);
+            t.freshWays(4, scratch);
             sink += scratch.size();
         }
     }
     EXPECT_EQ(w.count(), 0u) << "sink=" << sink;
+}
+
+/**
+ * The fresh-way sweep against a reference full scan: the ways it
+ * returns must be strictly increasing (way order), occupied, and
+ * carry exactly the tags the model says were touched within the
+ * window. Tags are unique per table, so the same tag set in way
+ * order is the full scan's output.
+ */
+void
+compareFresh(const BlockCorrelationTable &t, const RefTable &m,
+             std::uint32_t window)
+{
+    std::vector<std::uint32_t> ways;
+    t.freshWays(window, ways);
+    std::vector<mem::BlockId> got;
+    for (std::size_t k = 0; k < ways.size(); ++k) {
+        if (k > 0) {
+            ASSERT_LT(ways[k - 1], ways[k]) << "window " << window;
+        }
+        ASSERT_NE(t.tagAt(ways[k]), uvm::kNoBlock) << "way " << ways[k];
+        got.push_back(t.tagAt(ways[k]));
+    }
+    std::sort(got.begin(), got.end());
+    ASSERT_EQ(got, m.freshTags(window)) << "window " << window;
+}
+
+std::string
+dumpOf(const BlockCorrelationTable &t)
+{
+    std::ostringstream os;
+    t.dumpState(os);
+    return os.str();
+}
+
+TEST(CorrelationDense, FreshWaySweepMatchesFullScan)
+{
+    // 37 sets x 3 ways = 111 ways: the occupied bitmap spans two
+    // words and its last word is partial. 200 blocks keep every set
+    // under conflict pressure.
+    BlockTableConfig cfg{37, 3, 3};
+    constexpr mem::BlockId kUniverse = 200;
+    BlockCorrelationTable t(cfg);
+    // Same ops, but refreshes a swept way through visit(tag): the
+    // way-indexed refresh must leave byte-identical state.
+    BlockCorrelationTable byTag(cfg);
+    RefTable m(cfg);
+    sim::Rng rng(16);
+    std::vector<std::uint32_t> ways;
+
+    for (int step = 0; step < 20000; ++step) {
+        std::uint64_t op = rng.below(100);
+        if (op < 50) {
+            mem::BlockId prev = rng.below(kUniverse);
+            mem::BlockId next = rng.below(kUniverse);
+            t.record(prev, next);
+            byTag.record(prev, next);
+            m.record(prev, next);
+        } else if (op < 60) {
+            mem::BlockId b = rng.below(kUniverse);
+            (void)t.visit(b);
+            (void)byTag.visit(b);
+            m.visit(b);
+        } else if (op < 72) {
+            t.freshWays(std::uint32_t(rng.below(6)), ways);
+            if (!ways.empty()) {
+                std::uint32_t way = ways[rng.below(ways.size())];
+                mem::BlockId tag = t.tagAt(way);
+                t.refreshWay(way);
+                byTag.refresh(tag);
+                m.visit(tag);
+            }
+        } else if (op < 80) {
+            mem::BlockId b = rng.below(kUniverse);
+            t.erase(b);
+            byTag.erase(b);
+            m.erase(b);
+        } else if (op < 84) {
+            mem::BlockId first = rng.below(kUniverse);
+            mem::BlockId end = std::min<mem::BlockId>(
+                first + 1 + rng.below(16), kUniverse);
+            t.eraseRange(first, end);
+            byTag.eraseRange(first, end);
+            m.eraseRange(first, end);
+        } else {
+            mem::BlockId a = rng.below(kUniverse);
+            mem::BlockId b = rng.below(kUniverse);
+            auto len = std::uint32_t(1 + rng.below(8));
+            t.captureStartEnd(a, b, len);
+            byTag.captureStartEnd(a, b, len);
+            ++m.epoch;
+        }
+        for (std::uint32_t window : {0u, 1u, 4u})
+            compareFresh(t, m, window);
+        if (step % 97 == 0) {
+            compareAll(t, m, kUniverse);
+            ASSERT_EQ(dumpOf(t), dumpOf(byTag)) << "step " << step;
+        }
+    }
+    compareAll(t, m, kUniverse);
+    ASSERT_EQ(dumpOf(t), dumpOf(byTag));
+}
+
+TEST(CorrelationDense, SweepSkipsEmptiedWays)
+{
+    // Every way of a one-set table filled, then all but the last
+    // emptied: the sweep returns the one survivor, not the holes.
+    BlockTableConfig cfg{1, 4, 2};
+    BlockCorrelationTable t(cfg);
+    for (mem::BlockId b = 1; b <= 4; ++b)
+        t.record(b, b + 10);
+    std::vector<std::uint32_t> ways;
+    t.freshWays(0, ways);
+    EXPECT_EQ(ways, (std::vector<std::uint32_t>{0, 1, 2, 3}));
+    for (mem::BlockId b = 1; b <= 3; ++b)
+        t.erase(b);
+    t.freshWays(0, ways);
+    ASSERT_EQ(ways.size(), 1u);
+    EXPECT_EQ(t.tagAt(ways[0]), 4u);
+    audit(t);
 }
 
 // ---------------------------------------------------------------
@@ -489,6 +655,32 @@ TEST(CorrelationDense, TableSetLookupIsDenseAndLazy)
                           [&](std::ostream &os) { set.dumpState(os); });
     set.checkInvariants(ctx);
     EXPECT_GT(ctx.checks(), 0u);
+}
+
+// ---------------------------------------------------------------
+// Seeded corruption of the occupied-way bitmap.
+// ---------------------------------------------------------------
+
+TEST(CorrelationDenseDeath, FlippedOccupiedBitIsCaught)
+{
+    BlockTableConfig cfg{4, 2, 2};
+    BlockCorrelationTable t(cfg);
+    t.record(1, 2);
+    std::vector<std::uint32_t> ways;
+    t.freshWays(0, ways);
+    ASSERT_EQ(ways.size(), 1u);
+    const std::uint32_t live = ways[0];
+    const std::uint32_t empty = live == 0 ? 1 : 0;
+    audit(t);
+
+    // A cleared bit hides a live entry from the sweep; a set bit
+    // offers an empty way to it. The audit must catch both.
+    BlockCorrelationTable hidden = t;
+    BlockCorrelationTableTestAccess::flipOccupied(hidden, live);
+    EXPECT_DEATH(audit(hidden), "occupied bit 0 of way");
+    BlockCorrelationTable phantom = t;
+    BlockCorrelationTableTestAccess::flipOccupied(phantom, empty);
+    EXPECT_DEATH(audit(phantom), "occupied bit 1 of way");
 }
 
 } // namespace
