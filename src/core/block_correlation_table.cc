@@ -76,6 +76,7 @@ BlockCorrelationTable::record(mem::BlockId prev, mem::BlockId next)
         victim->succCount = 0;
         e = victim;
     }
+    ++version_;
     e->lastUse = ++useClock_;
     e->lastEpoch = epoch_;
 
@@ -101,6 +102,7 @@ BlockCorrelationTable::captureStartEnd(mem::BlockId start,
                                        std::uint32_t len)
 {
     ++epoch_;
+    ++version_;
     constexpr std::uint32_t kMaxStaleRejects = 4;
     if (2 * len >= bestLen_) {
         start_ = start;
@@ -152,13 +154,12 @@ BlockCorrelationTable::refresh(mem::BlockId b)
     (void)visit(b);
 }
 
-void
-BlockCorrelationTable::refreshWay(std::uint32_t way)
+std::uint32_t
+BlockCorrelationTable::wayOf(mem::BlockId b) const
 {
-    Entry &e = entries_[way];
-    DEEPUM_ASSERT(e.tag != uvm::kNoBlock, "refreshing empty way %u", way);
-    e.lastUse = ++useClock_;
-    e.lastEpoch = epoch_;
+    const Entry *e = find(b);
+    return e == nullptr ? kNoWay
+                        : static_cast<std::uint32_t>(e - entries_.data());
 }
 
 SuccView
@@ -167,8 +168,7 @@ BlockCorrelationTable::visit(mem::BlockId b)
     Entry *e = find(b);
     if (e == nullptr)
         return SuccView{};
-    e->lastUse = ++useClock_;
-    e->lastEpoch = epoch_;
+    touch(*e);
     return SuccView{
         succsOf(static_cast<std::size_t>(e - entries_.data())),
         e->succCount};
@@ -178,13 +178,20 @@ void
 BlockCorrelationTable::erase(mem::BlockId b)
 {
     Entry *e = find(b);
-    if (e != nullptr)
-        resetWay(static_cast<std::size_t>(e - entries_.data()));
+    if (e == nullptr)
+        return;
+    resetWay(static_cast<std::size_t>(e - entries_.data()));
+    ++version_;
 }
 
 void
 BlockCorrelationTable::eraseRange(mem::BlockId first, mem::BlockId end)
 {
+    // Always a new version, even when nothing here names the range:
+    // the prefetcher clears the freed blocks' protection stamps in
+    // the same unregister, and its replay shortcut relies on every
+    // table moving with them.
+    ++version_;
     auto dead = [first, end](mem::BlockId b) {
         return b >= first && b < end;
     };

@@ -24,6 +24,18 @@
  * record() allocates a way, cleared when a way is reset), so the
  * prefetcher's fresh-way sweep visits live entries only, in way
  * order, and hands back way indices it refreshes without a probe.
+ *
+ * Each table carries a version: a counter that moves whenever
+ * something a chain walk reads may have changed — tags, successor
+ * lists, the start/end pointers, the epoch, or a way's lastEpoch
+ * (which decides the fresh set). record(), erase() of a live entry,
+ * eraseRange(), captureStartEnd(), setStart()/setEnd() and any
+ * refresh that moves a way's lastEpoch bump it. A refresh that
+ * only advances lastUse does not: LRU use stamps steer way
+ * replacement in record(), never the walk. So two walks that start
+ * from the same version (and the same BlockStore layout) visit the
+ * same ways and issue the same candidates in the same order, which
+ * is what lets the prefetcher replay a recorded walk plan.
  */
 
 #pragma once
@@ -36,6 +48,7 @@
 #include "core/config.hh"
 #include "core/execution_id_table.hh"
 #include "mem/addr.hh"
+#include "sim/logging.hh"
 #include "support/annotations.hh"
 #include "uvm/block_info.hh"
 
@@ -104,9 +117,41 @@ class BlockCorrelationTable
     /** Last faulted block before the kernel transitions. */
     mem::BlockId end() const { return end_; }
 
-    /** Directly set the pointers (tests and captureStartEnd). */
-    void setStart(mem::BlockId b) { start_ = b; }
-    void setEnd(mem::BlockId b) { end_ = b; }
+    /** Directly set the pointers (tests and the capture ablation). */
+    void
+    setStart(mem::BlockId b)
+    {
+        start_ = b;
+        ++version_;
+    }
+    void
+    setEnd(mem::BlockId b)
+    {
+        end_ = b;
+        ++version_;
+    }
+
+    /**
+     * The walk-visible state's version (see the file comment): equal
+     * versions mean equal tags, successors, start/end, epoch and
+     * lastEpoch stamps. Starts at 1, so 0 never names a live state.
+     */
+    std::uint64_t version() const { return version_; }
+
+    /** "No way": a missing entry (wayOf()). */
+    static constexpr std::uint32_t kNoWay = ~std::uint32_t{0};
+
+    /** Slab index of @p b's way, or kNoWay. One set probe, no side
+     * effects. */
+    DEEPUM_NOALLOC std::uint32_t wayOf(mem::BlockId b) const;
+
+    /** Successors of the occupied way @p way, MRU first (SuccView
+     * contract). */
+    DEEPUM_NOALLOC SuccView
+    successorsAt(std::uint32_t way) const
+    {
+        return SuccView{succsOf(way), entries_[way].succCount};
+    }
 
     /**
      * Capture the start/end blocks from one execution whose fault
@@ -155,13 +200,20 @@ class BlockCorrelationTable
 
     /**
      * Mark the occupied way @p way as used this epoch: visit() on
-     * its tag without the set probe (the sweep already found it).
+     * its tag without the set probe (the sweep or wayOf() already
+     * found it).
      */
-    DEEPUM_NOALLOC void refreshWay(std::uint32_t way);
+    DEEPUM_NOALLOC void
+    refreshWay(std::uint32_t way)
+    {
+        DEEPUM_ASSERT(entries_[way].tag != uvm::kNoBlock,
+                      "refreshing empty way %u", way);
+        touch(entries_[way]);
+    }
 
     /**
-     * refresh(@p b) and successors(@p b) on one set probe: the chain
-     * walk's per-block step. Same view contract as successors().
+     * refresh(@p b) and successors(@p b) on one set probe. Same view
+     * contract as successors().
      */
     DEEPUM_NOALLOC SuccView visit(mem::BlockId b);
 
@@ -270,6 +322,17 @@ class BlockCorrelationTable
     Entry *find(mem::BlockId b);
     const Entry *find(mem::BlockId b) const;
 
+    /** Stamp @p e used now; a moved lastEpoch is a new version. */
+    void
+    touch(Entry &e)
+    {
+        e.lastUse = ++useClock_;
+        if (e.lastEpoch != epoch_) {
+            e.lastEpoch = epoch_;
+            ++version_;
+        }
+    }
+
     /** Reset the way at slab index @p way to the empty state. */
     void
     resetWay(std::size_t way)
@@ -294,6 +357,7 @@ class BlockCorrelationTable
     std::uint32_t bestLen_ = 0;     ///< longest committed sequence
     std::uint32_t staleRejects_ = 0;
     std::uint32_t epoch_ = 0;       ///< executions with faults seen
+    std::uint64_t version_ = 1;     ///< walk-visible state (version())
 };
 
 /**

@@ -57,6 +57,10 @@ class DeepUm : public uvm::DriverListener
     /** Mutable table access (validation tests seed violations here). */
     BlockCorrelationTableSet &blockTables() { return blockTables_; }
 
+    /** Mutable prefetcher access (tests drive chain restarts without
+     * the correlator's recording). */
+    Prefetcher &prefetcher() { return prefetcher_; }
+
     /**
      * Audit the DeepUM-side structures (sim/validate.hh): delegates
      * to the tables and prefetcher, and checks that every committed

@@ -1,5 +1,7 @@
 #include "core/prefetcher.hh"
 
+#include <algorithm>
+#include <limits>
 #include <ostream>
 
 #include "sim/trace.hh"
@@ -19,6 +21,8 @@ Prefetcher::Prefetcher(uvm::Driver &drv, ExecCorrelationTable &exec_table,
       // The window never exceeds lookaheadN + 2 slots (the audited
       // bound below), so the ring is sized once and never grows.
       slotBuf_(std::size_t(cfg.lookaheadN) + 2),
+      plansOn_(cfg.table.numSuccs <=
+               std::numeric_limits<std::uint8_t>::max()),
       chainsStarted_(stats, "prefetcher.chainsStarted",
                      "chain (re)starts triggered by fault batches"),
       chainTransitions_(stats, "prefetcher.chainTransitions",
@@ -36,6 +40,14 @@ Prefetcher::Prefetcher(uvm::Driver &drv, ExecCorrelationTable &exec_table,
                    "chain pauses at the N-kernel lookahead limit"),
       blocksIssued_(stats, "prefetcher.blocksIssued",
                     "prefetch candidates issued to the driver"),
+      walksRecorded_(stats, "prefetcher.walksRecorded",
+                     "transition walks stored as walk plans"),
+      walksReplayed_(stats, "prefetcher.walksReplayed",
+                     "transition walks replayed from a walk plan"),
+      tableVisits_(stats, "prefetcher.tableVisits",
+                   "block-table set probes by the live walk"),
+      protectListings_(stats, "prefetcher.protectListings",
+                       "blocks appended to a slot's protection list"),
       mispredictedLaunches_(stats, "prefetcher.mispredictedLaunches",
                             "actual launches that broke the window"),
       lateCompletions_(stats, "prefetcher.lateCompletions",
@@ -81,6 +93,7 @@ Prefetcher::protect(std::size_t slot, mem::BlockId b, uvm::BlockIndex i)
         return; // a restarted chain re-issued what this slot holds
     stamp = s.gen;
     support::pushAmortized(s.blocks, ProtEntry{b, i});
+    ++protectListings_;
     if (protCount_[i]++ == 0) {
         ++protectedDistinct_;
         drv_.setHeld(i, true);
@@ -147,14 +160,23 @@ Prefetcher::onRangeUnregistered(mem::BlockId first, mem::BlockId end)
 }
 
 void
-Prefetcher::issue(std::size_t slot, mem::BlockId b, uvm::BlockIndex i)
+Prefetcher::enqueue(std::size_t slot, mem::BlockId b, uvm::BlockIndex i)
 {
-    protect(slot, b, i);
     drv_.enqueuePrefetch(b, i, slotAt(slot).exec,
                          static_cast<std::uint32_t>(slot));
     ++blocksIssued_;
     if (budget_ > 0)
         --budget_;
+}
+
+void
+Prefetcher::issue(std::size_t slot, mem::BlockId b, uvm::BlockIndex i)
+{
+    protect(slot, b, i);
+    enqueue(slot, b, i);
+    support::pushAmortized(walk_, b);
+    if (recExec_ != kNoExecId)
+        support::pushAmortized(plans_[recExec_].steps, PlanStep{i});
 }
 
 void
@@ -230,6 +252,7 @@ Prefetcher::onFaultBlocks(const std::vector<mem::BlockId> &blocks)
         pushSlot(cur);
     slotAt(0).exec = cur;
 
+    recExec_ = kNoExecId;
     clearWalk();
     ++seenGen_;
     for (mem::BlockId b : blocks) {
@@ -266,7 +289,6 @@ Prefetcher::enterKernelTable(std::size_t slot)
             continue;
         bt->refreshWay(way);
         issue(slot, t, i);
-        support::pushAmortized(walk_, t);
         if (budget_ == 0)
             return;
     }
@@ -309,14 +331,18 @@ Prefetcher::runChain()
 {
     while (active_ && !paused_) {
         if (budget_ == 0) {
+            // A dead chain keeps no queue (as after a cut replay),
+            // and a cut walk is not a plan.
             active_ = false;
+            clearWalk();
+            recExec_ = kNoExecId;
             return;
         }
         if (walkHead_ == walk_.size()) {
-            // Correlations for this kernel are exhausted without
-            // meeting the end block (it may sit in a replaced table
-            // way). Everything known is enqueued, so move on to the
-            // predicted next kernel rather than killing the chain.
+            // Correlations for this kernel are exhausted. Everything
+            // known is enqueued, so move on to the predicted next
+            // kernel rather than killing the chain.
+            commitRecording();
             ++chainExhaustedTransitions_;
             if (!transitionChain())
                 return;
@@ -330,33 +356,94 @@ Prefetcher::runChain()
             ++chainDeadNoTable_;
             return;
         }
-        // A visited entry is live: visit() keeps it in the fresh
+        // A visited entry is live: the refresh keeps it in the fresh
         // window even when prefetching keeps it from ever faulting
         // again. The view aliases the table's successor slab.
-        // issue() only pushes into the driver's queue and the
-        // protection lists — it never touches the block tables — so
+        // issue() only pushes into the driver's queue, the protection
+        // lists and the walk — it never touches the block tables — so
         // iterating the slab in place is safe; no defensive copy.
-        SuccView succs = bt->visit(p);
-        bool end_met = false;
-        for (mem::BlockId s : succs) {
-            uvm::BlockIndex i = drv_.store().find(s);
-            if (!markSeen(i))
-                continue;
-            issue(chainDepth_, s, i);
-            if (s == bt->end())
-                end_met = true;
-            support::pushAmortized(walk_, s);
+        const std::uint32_t way = bt->wayOf(p);
+        ++tableVisits_;
+        const std::size_t queued = walk_.size();
+        if (way != BlockCorrelationTable::kNoWay) {
+            bt->refreshWay(way);
+            for (mem::BlockId s : bt->successorsAt(way)) {
+                uvm::BlockIndex i = drv_.store().find(s);
+                if (markSeen(i))
+                    issue(chainDepth_, s, i);
+            }
         }
-        // Meeting the end block signals the kernel's chain is
-        // complete, but residual-fault "shortcut" edges can surface
-        // it early in an MRU list; drain the remaining known blocks
-        // before transitioning so one stray edge cannot truncate the
-        // kernel's coverage.
-        if (end_met && walkHead_ == walk_.size()) {
-            if (!transitionChain())
-                return;
+        if (recExec_ != kNoExecId) {
+            WalkPlan &rec = plans_[recExec_];
+            rec.steps[walkHead_ - 1].way = way;
+            support::pushAmortized(
+                rec.succs, static_cast<std::uint8_t>(walk_.size() - queued));
         }
     }
+}
+
+void
+Prefetcher::commitRecording()
+{
+    if (recExec_ == kNoExecId)
+        return;
+    const BlockCorrelationTable *bt = blockTables_.find(recExec_);
+    // A walk that moved a way's lastEpoch may have changed the fresh
+    // set the next walk sweeps: only an unmoved version replays.
+    if (bt->version() == recVersion_) {
+        WalkPlan &plan = plans_[recExec_];
+        plan.version = recVersion_;
+        plan.layout = drv_.store().layoutVersion();
+        plan.listedGen = slotAt(chainDepth_).gen;
+        plan.listed = static_cast<std::uint32_t>(plan.steps.size());
+        ++walksRecorded_;
+    }
+    recExec_ = kNoExecId;
+}
+
+void
+Prefetcher::replayPlan(WalkPlan &plan, BlockCorrelationTable &bt)
+{
+    const std::size_t slot = chainDepth_;
+    const std::uint64_t gen = slotAt(slot).gen;
+    // The prefix already listed in this slot generation would find
+    // stamp == gen in protect(): skip the call, not just its work.
+    const std::uint32_t listed = plan.listedGen == gen ? plan.listed : 0;
+    std::uint32_t next = 0; // the next candidate to issue
+    auto issueNext = [&] {
+        const uvm::BlockIndex i = plan.steps[next].idx;
+        const mem::BlockId b =
+            i == uvm::kNoBlockIndex ? uvm::kNoBlock : drv_.store().idAt(i);
+        if (next >= listed)
+            protect(slot, b, i);
+        enqueue(slot, b, i);
+        ++next;
+    };
+    // Kernel entry: the start block, then the fresh sweep, whose ways
+    // are the ones those candidates' visits hit.
+    issueNext();
+    while (next < plan.entry) {
+        bt.refreshWay(plan.steps[next].way);
+        issueNext();
+        if (budget_ == 0)
+            break;
+    }
+    // The breadth-first visits, each behind runChain's budget check.
+    for (std::size_t v = 0; v < plan.steps.size() && budget_ != 0; ++v) {
+        const std::uint32_t way = plan.steps[v].way;
+        if (way == BlockCorrelationTable::kNoWay)
+            continue;
+        bt.refreshWay(way);
+        for (std::uint8_t n = plan.succs[v]; n != 0; --n)
+            issueNext();
+    }
+    if (plan.listedGen != gen) {
+        plan.listedGen = gen;
+        plan.listed = next;
+    } else {
+        plan.listed = std::max(plan.listed, next);
+    }
+    ++walksReplayed_;
 }
 
 bool
@@ -383,7 +470,7 @@ Prefetcher::transitionChain()
             pushSlot(kNoExecId);
         slotAt(chainDepth_).exec = next;
 
-        const BlockCorrelationTable *bt = blockTables_.find(predCur_);
+        BlockCorrelationTable *bt = blockTables_.find(predCur_);
         if (bt == nullptr || bt->start() == uvm::kNoBlock) {
             // This kernel never faulted (its working set is always
             // resident): nothing to prefetch for it. Skip through to
@@ -401,24 +488,86 @@ Prefetcher::transitionChain()
             continue;
         }
 
+        const bool pausing = chainDepth_ >= cfg_.lookaheadN;
+        const bool single_block =
+            bt->start() == bt->end() && bt->end() != uvm::kNoBlock;
+        // A walk that runs to exhaustion here is plannable.
+        const bool planned = plansOn_ && !pausing && !single_block;
         clearWalk();
         ++seenGen_;
+        if (planned) {
+            WalkPlan &plan = planFor(predCur_);
+            if (planLive(plan, *bt)) {
+                // runChain finds the walk queue empty: its budget
+                // check, then the next transition, as after a live
+                // walk.
+                replayPlan(plan, *bt);
+                return true;
+            }
+            // Record over the stale plan in place; version 0 keeps
+            // it from replaying until the walk commits.
+            plan.version = 0;
+            plan.steps.clear();
+            plan.succs.clear();
+            recExec_ = predCur_;
+            recVersion_ = bt->version();
+        }
         uvm::BlockIndex start = drv_.store().find(bt->start());
         markSeen(start);
         issue(chainDepth_, bt->start(), start);
-        support::pushAmortized(walk_, bt->start());
         enterKernelTable(chainDepth_);
+        if (recExec_ != kNoExecId)
+            plans_[recExec_].entry = static_cast<std::uint32_t>(walk_.size());
 
-        if (chainDepth_ >= cfg_.lookaheadN) {
+        if (pausing) {
             paused_ = true;
             ++chainPauses_;
             return true;
         }
-        bool single_block =
-            bt->start() == bt->end() && bt->end() != uvm::kNoBlock;
         if (!single_block)
             return true;
         // Degenerate single-fault kernel: keep transitioning.
+    }
+}
+
+void
+Prefetcher::dryWalk(const BlockCorrelationTable &bt, WalkPlan &out) const
+{
+    // transitionChain + enterKernelTable + runChain without a budget,
+    // ticks, issues or the shared dedupe.
+    const uvm::BlockStore &st = drv_.store();
+    std::vector<bool> seen(st.slabSize(), false);
+    std::vector<mem::BlockId> queue;
+    out.steps.clear();
+    out.succs.clear();
+    auto offer = [&](mem::BlockId b, bool always) {
+        const uvm::BlockIndex i = st.find(b);
+        if (i != uvm::kNoBlockIndex) {
+            if (seen[i] && !always)
+                return std::size_t{0};
+            seen[i] = true;
+        }
+        out.steps.push_back(PlanStep{i});
+        queue.push_back(b);
+        return std::size_t{1};
+    };
+    offer(bt.start(), true);
+    if (cfg_.freshTagChaining) {
+        std::vector<std::uint32_t> ways;
+        bt.freshWays(cfg_.freshEpochWindow, ways);
+        for (std::uint32_t way : ways)
+            offer(bt.tagAt(way), false);
+    }
+    out.entry = static_cast<std::uint32_t>(out.steps.size());
+    for (std::size_t k = 0; k < queue.size(); ++k) {
+        const std::uint32_t way = bt.wayOf(queue[k]);
+        out.steps[k].way = way;
+        std::size_t n = 0;
+        if (way != BlockCorrelationTable::kNoWay) {
+            for (mem::BlockId s : bt.successorsAt(way))
+                n += offer(s, false);
+        }
+        out.succs.push_back(static_cast<std::uint8_t>(n));
     }
 }
 
@@ -524,6 +673,55 @@ Prefetcher::checkInvariants(sim::CheckContext &ctx) const
     ctx.require(walkHead_ <= walk_.size(),
                 "walk cursor %zu beyond the %zu-entry queue",
                 walkHead_, walk_.size());
+    // Replayable plans must be the walk their table yields now, and
+    // the prefix they claim listed must still be listed.
+    WalkPlan dry;
+    for (ExecId id = 0; id < plans_.size(); ++id) {
+        const WalkPlan &plan = plans_[id];
+        const BlockCorrelationTable *bt = blockTables_.find(id);
+        if (bt == nullptr || !planLive(plan, *bt))
+            continue;
+        dryWalk(*bt, dry);
+        const bool same =
+            plan.entry == dry.entry && plan.succs == dry.succs &&
+            plan.steps.size() == dry.steps.size() &&
+            std::equal(plan.steps.begin(), plan.steps.end(),
+                       dry.steps.begin(),
+                       [](const PlanStep &a, const PlanStep &b) {
+                           return a.idx == b.idx && a.way == b.way;
+                       });
+        ctx.require(same,
+                    "exec %u walk plan (%zu candidates, entry %u) is "
+                    "not its table's walk (%zu candidates, entry %u)",
+                    id, plan.steps.size(), plan.entry, dry.steps.size(),
+                    dry.entry);
+        ctx.require(plan.listed <= plan.steps.size(),
+                    "exec %u plan lists %u of %zu candidates", id,
+                    plan.listed, plan.steps.size());
+        for (std::size_t w = 0; w < slotCount_; ++w) {
+            if (slotAt(w).gen != plan.listedGen)
+                continue;
+            const std::size_t pos = ringPos(w);
+            for (std::uint32_t k = 0;
+                 k < plan.listed && k < plan.steps.size(); ++k) {
+                const uvm::BlockIndex i = plan.steps[k].idx;
+                if (i == uvm::kNoBlockIndex)
+                    continue;
+                const std::uint64_t stamp =
+                    std::size_t(i) * ring + pos < protStamp_.size()
+                        ? protStamp_[std::size_t(i) * ring + pos]
+                        : 0;
+                ctx.require(stamp == plan.listedGen,
+                            "exec %u plan candidate %u (slab index %u) "
+                            "listed in generation %llu carries stamp "
+                            "%llu",
+                            id, k, i,
+                            static_cast<unsigned long long>(
+                                plan.listedGen),
+                            static_cast<unsigned long long>(stamp));
+            }
+        }
+    }
     std::size_t pending = 0;
     for (ExecId id = 0; id < pendingDone_.size(); ++id)
         if (!pendingDone_[id].empty())

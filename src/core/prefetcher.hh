@@ -5,9 +5,10 @@
  * On every fault batch the prefetcher (re)starts *chaining*: it walks
  * the current kernel's block correlation table from the faulted
  * blocks, enqueueing every successor into the driver's prefetch
- * queue. When it meets the kernel's `end` block it consults the
- * execution ID table to predict the next kernel and continues from
- * that kernel's `start` block. Chaining pauses once commands for the
+ * queue. Once the walk has drained every block it can reach (the
+ * kernel's `end` block among them) it consults the execution ID
+ * table to predict the next kernel and continues from that kernel's
+ * `start` block. Chaining pauses once commands for the
  * next N kernels are enqueued and resumes when the running kernel
  * finishes; it dies when the next kernel cannot be predicted, and is
  * restarted by the next fault.
@@ -28,10 +29,32 @@
  * dedupe, the protection stamp, the refcount and the driver's
  * prefetch enqueue.
  *
+ * A transition walk — the chain entering a predicted kernel's table
+ * with a fresh seen-set — is a function of that table's walk-visible
+ * state (BlockCorrelationTable::version()) and the store's layout
+ * (BlockStore::layoutVersion()); the budget, the protection lists
+ * and the driver's queue only consume what it issues. So the live
+ * walk records each such walk into a per-table plan: per candidate,
+ * its slab index, the way its visit hit and how many successors that
+ * visit issued (9 bytes). The next transition into the table replays
+ * the plan when both versions still match: the same issues and
+ * budget checks at the same positions and the same refreshWay()
+ * ticks in the same order, without the set probes, the store lookups
+ * or the dedupe. A plan also remembers the slot generation it was
+ * last listed into and how far; a replay into that generation skips
+ * protect() for the listed prefix, where it would find stamp == gen
+ * and do nothing (a range unregister clears stamps and bumps every
+ * table's version, so such a plan is never replayed). Restart walks
+ * (from faulted blocks, into the kernel being recorded), single-block
+ * kernels and the walk that pauses at depth N stay live and
+ * unplanned. A plan commits only if the recording walk moved no
+ * version, so the state it replays from is the state it recorded.
+ *
  * The steady-state chain walk is allocation-free: the prediction
  * window is a fixed ring of slots whose protection lists keep their
  * capacity across reuse, the walk queue is a reused vector consumed
- * by index, visit() returns a view into the table's inline slab, the
+ * by index, successorsAt() returns a view into the table's inline
+ * slab, walk plans keep their capacity across re-records, the
  * fresh-way sweep fills a reused scratch vector with way indices
  * that are refreshed in place (no second set probe), and the pending
  * completion ticks live in an ExecId-indexed dense table whose
@@ -123,7 +146,10 @@ class Prefetcher
      * store hold bit must equal its refcount being nonzero, the
      * window must respect the lookahead bound, the chain cursor must
      * point into the window, and the pending completion table's
-     * non-empty counter must match its slots.
+     * non-empty counter must match its slots. Every replayable plan
+     * must equal a side-effect-free dry walk of its table, and while
+     * its listed generation is live, every listed candidate must
+     * carry that generation's stamp.
      */
     void checkInvariants(sim::CheckContext &ctx) const;
 
@@ -131,6 +157,9 @@ class Prefetcher
     void dumpState(std::ostream &os) const;
 
   private:
+    /** Test-only access to private state (seeded-corruption tests). */
+    friend struct PrefetcherTestAccess;
+
     /** One protected block plus its slab slot at protect time. */
     struct ProtEntry {
         mem::BlockId block = uvm::kNoBlock;
@@ -144,6 +173,33 @@ class Prefetcher
          * from protGen_ each time the slot is pushed. */
         std::uint64_t gen = 0;
         std::vector<ProtEntry> blocks; ///< distinct blocks protected
+    };
+
+    /** One walk-plan candidate, in issue order. */
+    struct PlanStep {
+        uvm::BlockIndex idx = uvm::kNoBlockIndex; ///< slab slot issued
+        /** Way its visit hit (BlockCorrelationTable::kNoWay: none). */
+        std::uint32_t way = BlockCorrelationTable::kNoWay;
+    };
+
+    /**
+     * A recorded transition walk of one kernel's table (see the file
+     * comment). Candidates [0, entry) are issued on kernel entry (the
+     * start block, then the fresh sweep), the rest by the breadth-
+     * first visits: visiting candidate k issues the next succs[k].
+     * A walk records into its table's plan in place, so the vectors
+     * keep their capacity across re-records.
+     */
+    struct WalkPlan {
+        std::uint64_t version = 0; ///< table version; 0 = no plan
+        std::uint64_t layout = 0;  ///< store layout at record time
+        /** Candidates [0, listed) are listed in slot generation
+         * listedGen (their stamps equal it while it lives). */
+        std::uint64_t listedGen = 0;
+        std::uint32_t listed = 0;
+        std::uint32_t entry = 0;
+        std::vector<PlanStep> steps;
+        std::vector<std::uint8_t> succs;
     };
 
     /** Ring position of window slot @p i. */
@@ -213,6 +269,24 @@ class Prefetcher
         walkHead_ = 0;
     }
 
+    /** Grow the plan table to cover @p exec_id. */
+    DEEPUM_ALLOC_OK("plan table grows with the ExecId space")
+    WalkPlan &
+    planFor(ExecId exec_id)
+    {
+        if (exec_id >= plans_.size())
+            plans_.resize(std::size_t(exec_id) + 1);
+        return plans_[exec_id];
+    }
+
+    /** True if @p plan replays @p bt's current walk. */
+    bool
+    planLive(const WalkPlan &plan, const BlockCorrelationTable &bt) const
+    {
+        return plan.version == bt.version() &&
+               plan.layout == drv_.store().layoutVersion();
+    }
+
     /** Grow the pending-completion table to cover @p exec_id. */
     DEEPUM_ALLOC_OK("pending table grows with the ExecId space")
     void
@@ -238,7 +312,16 @@ class Prefetcher
     /** Drop every slot and kill the chain. */
     DEEPUM_NOALLOC void clearAllSlots();
 
-    /** Enqueue @p b (slab slot @p i) and protect it for @p slot. */
+    /** Hand @p b (slab slot @p i) to the driver for @p slot and
+     * charge the budget. */
+    DEEPUM_NOALLOC void enqueue(std::size_t slot, mem::BlockId b,
+                                uvm::BlockIndex i);
+
+    /**
+     * The live walk's candidate step: protect and enqueue @p b (slab
+     * slot @p i) for @p slot, queue it for a visit, and append it to
+     * the recording, if one is running.
+     */
     DEEPUM_NOALLOC void issue(std::size_t slot, mem::BlockId b,
                               uvm::BlockIndex i);
 
@@ -248,9 +331,26 @@ class Prefetcher
     /** Walk successors until pause/death/budget-exhaustion. */
     DEEPUM_NOALLOC void runChain();
 
+    /** The recording walk is exhausted: keep it as its table's plan
+     * if the walk moved no version. */
+    DEEPUM_NOALLOC void commitRecording();
+
     /**
-     * Met the end block: predict the next kernel and move the chain
-     * to its start block. @return false if the chain dies.
+     * Replay @p plan into the chain's current slot: the live walk's
+     * issues, ticks on @p bt and budget checks, stopping where it
+     * would stop.
+     */
+    DEEPUM_NOALLOC void replayPlan(WalkPlan &plan,
+                                   BlockCorrelationTable &bt);
+
+    /** The walk a transition into @p bt would record, computed
+     * without side effects (the plan audit). */
+    void dryWalk(const BlockCorrelationTable &bt, WalkPlan &out) const;
+
+    /**
+     * The kernel's walk is exhausted: predict the next kernel and
+     * move the chain to its start block, replaying its table's plan
+     * when one is live. @return false if the chain dies.
      */
     DEEPUM_NOALLOC bool transitionChain();
 
@@ -307,6 +407,15 @@ class Prefetcher
      * walkHead_ (FIFO without deque segment churn). */
     std::vector<mem::BlockId> walk_;
     std::size_t walkHead_ = 0;
+    /** Walk plans, indexed by ExecId (dense). */
+    std::vector<WalkPlan> plans_;
+    /** The table whose plan the walk is recording (kNoExecId: none)
+     * and its version when the walk began. */
+    ExecId recExec_ = kNoExecId;
+    std::uint64_t recVersion_ = 0;
+    /** Visit counts fit a PlanStep's byte only below 256 successors;
+     * wider tables walk live. */
+    bool plansOn_;
     /** Scratch for the fresh-way sweep (reused across activations). */
     std::vector<std::uint32_t> freshScratch_;
     /** Epoch-stamped walk dedupe, keyed by slab index. */
@@ -322,6 +431,10 @@ class Prefetcher
     sim::Scalar chainDeadNoTable_;
     sim::Scalar chainPauses_;
     sim::Scalar blocksIssued_;
+    sim::Scalar walksRecorded_;
+    sim::Scalar walksReplayed_;
+    sim::Scalar tableVisits_;
+    sim::Scalar protectListings_;
     sim::Scalar mispredictedLaunches_;
     sim::Scalar lateCompletions_;
     sim::Distribution leadTime_;

@@ -100,6 +100,14 @@ class BlockStore
      * sizing bound for index-keyed side structures. */
     std::size_t slabSize() const { return slab_.size(); }
 
+    /**
+     * Registration version: moves on every registerRun() and
+     * unregisterRun(), so equal values mean every BlockId resolves to
+     * the same slot (or to none) as before. Side structures that
+     * cache find() results key on it.
+     */
+    std::uint64_t layoutVersion() const { return layoutVersion_; }
+
     /** The registered run containing @p b, or nullptr. */
     DEEPUM_NOALLOC const Range *rangeContaining(mem::BlockId b) const;
 
@@ -415,6 +423,7 @@ class BlockStore
     std::vector<mem::BlockId> ids_;  ///< slot -> block backref
     std::vector<FreeRun> freeRuns_;  ///< sorted by base, coalesced
     std::size_t size_ = 0;           ///< live blocks
+    std::uint64_t layoutVersion_ = 0; ///< see layoutVersion()
     /**
      * Last range hit (probe cache). The hint never affects a find()
      * result, only which path computes it.

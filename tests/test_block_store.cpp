@@ -420,9 +420,15 @@ TEST(BlockStore, UnregisterReusesSlabSlots)
     std::size_t slab = st.slabSize();
 
     // Drop the first run and register an equal-sized one elsewhere:
-    // the freed slots must be reused, not appended.
+    // the freed slots must be reused, not appended. Each step moves
+    // the layout version, since a find() cached across it would now
+    // name another block's slot (or a freed one).
+    std::uint64_t layout = st.layoutVersion();
     st.unregisterRun(kBase, kBase + 8);
+    EXPECT_NE(st.layoutVersion(), layout);
+    layout = st.layoutVersion();
     BlockIndex i = st.registerRun(kBase + 200, kBase + 208);
+    EXPECT_NE(st.layoutVersion(), layout);
     EXPECT_EQ(st.slabSize(), slab);
     EXPECT_EQ(i, 0u); // first-fit: the lowest freed slot
 

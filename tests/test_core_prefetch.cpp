@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,6 +26,33 @@
 #include "sim/stats.hh"
 #include "sim/validate.hh"
 #include "uvm/driver.hh"
+
+namespace deepum::core {
+
+/** Test-only access to the prefetcher's walk plans. */
+struct PrefetcherTestAccess {
+    /** Walk every transition live, as if no plan could exist. */
+    static void disablePlans(Prefetcher &pf) { pf.plansOn_ = false; }
+
+    /** Point one candidate of a replayable plan at the wrong slab
+     * slot. @return false if no plan is replayable. */
+    static bool
+    corruptPlan(Prefetcher &pf)
+    {
+        for (ExecId id = 0; id < pf.plans_.size(); ++id) {
+            Prefetcher::WalkPlan &plan = pf.plans_[id];
+            const BlockCorrelationTable *bt = pf.blockTables_.find(id);
+            if (bt == nullptr || !pf.planLive(plan, *bt) ||
+                plan.steps.size() < 2)
+                continue;
+            plan.steps[1].idx = plan.steps[0].idx;
+            return true;
+        }
+        return false;
+    }
+};
+
+} // namespace deepum::core
 
 using namespace deepum;
 using namespace deepum::core;
@@ -427,6 +455,368 @@ TEST(DeepUmPipeline, FreedRangeScrubsItsProtection)
     for (mem::BlockId c = c0; c < c0 + 6; ++c)
         c_held = c_held || pf.isProtected(c);
     EXPECT_TRUE(c_held);
+}
+
+// ---------------------------------------------------------- walk plans
+
+/** Prefetch arrivals in order: the driver queue's order, observed. */
+struct ArrivalLog : uvm::DriverListener {
+    std::vector<mem::BlockId> blocks;
+
+    void
+    onBlockMigrated(mem::BlockId b, bool was_prefetch) override
+    {
+        if (was_prefetch)
+            blocks.push_back(b);
+    }
+};
+
+/**
+ * Four kernels in a loop, driven by hand: kernel k's table covers
+ * blocks [b0 + 16k, b0 + 16k + 16). Three hubs a -> a+1 -> a+2, each
+ * with two leaves of its own (a+3 .. a+8), so a transition walk
+ * issues the hubs on entry and the leaves from its visits. Restarts
+ * go to the prefetcher directly, so the correlator never records
+ * into a table behind the test's back.
+ */
+struct PlanWorld : DeepUmWorld {
+    static constexpr std::uint64_t kRunBlocks = 64;
+
+    ArrivalLog arrivals;
+    mem::BlockId b0;
+
+    PlanWorld(const DeepUmConfig &c, bool plans)
+        : DeepUmWorld(c), b0(mem::blockOf(reg(kRunBlocks)))
+    {
+        if (!plans)
+            PrefetcherTestAccess::disablePlans(dum->prefetcher());
+        drv.addListener(&arrivals);
+        for (int round = 0; round < 3; ++round)
+            for (ExecId k = 0; k < 4; ++k)
+                dum->notifyKernelLaunch(k);
+        for (ExecId k = 0; k < 4; ++k) {
+            BlockCorrelationTable &t = table(k);
+            const mem::BlockId a = base(k);
+            for (mem::BlockId h = 0; h < 3; ++h) {
+                t.record(a + h, a + 3 + 2 * h);
+                t.record(a + h, a + 4 + 2 * h);
+                if (h < 2)
+                    t.record(a + h, a + h + 1);
+            }
+            t.captureStartEnd(a, a + 8, 9);
+        }
+    }
+
+    mem::BlockId base(ExecId k) const { return b0 + 16 * k; }
+
+    BlockCorrelationTable &
+    table(ExecId k)
+    {
+        return dum->blockTables().getOrCreate(k);
+    }
+
+    /** All nine blocks of kernel @p k's walk: a restart with these
+     * as its faults issues nothing for the running kernel. */
+    std::vector<mem::BlockId>
+    walkOf(ExecId k) const
+    {
+        std::vector<mem::BlockId> v;
+        for (mem::BlockId i = 0; i < 9; ++i)
+            v.push_back(base(k) + i);
+        return v;
+    }
+
+    void
+    restart(const std::vector<mem::BlockId> &faults)
+    {
+        dum->prefetcher().onFaultBlocks(faults);
+    }
+
+    std::uint64_t replayed() const
+    {
+        return stats.get("prefetcher.walksReplayed");
+    }
+
+    /**
+     * Everything a walk leaves behind: the prefetch queue's order
+     * (drained through the migration pipeline), the hold bits, the
+     * window's slot lists, every table and every stat but the three
+     * that count how walks ran.
+     */
+    std::string
+    snapshot()
+    {
+        eq.run();
+        std::ostringstream os;
+        os << "arrivals:";
+        for (mem::BlockId b : arrivals.blocks)
+            os << " " << b;
+        os << "\nheld:";
+        for (bool h : holdBits(drv))
+            os << h;
+        os << "\n";
+        dum->prefetcher().dumpState(os);
+        dum->blockTables().dumpState(os);
+        std::ostringstream st;
+        stats.dump(st);
+        std::istringstream lines(st.str());
+        for (std::string line; std::getline(lines, line);) {
+            if (line.find("prefetcher.walks") == std::string::npos &&
+                line.find("prefetcher.tableVisits") == std::string::npos)
+                os << line << "\n";
+        }
+        return os.str();
+    }
+};
+
+/**
+ * Run @p script on a world that replays walk plans and on one that
+ * walks every transition live, auditing the planned world at each
+ * snapshot; every snapshot must match.
+ */
+struct PlanPair {
+    PlanWorld planned;
+    PlanWorld live;
+    std::vector<std::string> plannedSnaps, liveSnaps;
+
+    explicit PlanPair(DeepUmConfig c = config())
+        : planned(c, true), live(c, false)
+    {}
+
+    static DeepUmConfig
+    config()
+    {
+        DeepUmConfig c;
+        c.lookaheadN = 2;
+        // No kernel runs, so every prefetch would count as wasted and
+        // erase its entry: keep the tables to the test's own edits.
+        c.wasteFeedback = false;
+        return c;
+    }
+
+    /** Apply @p step to both worlds, then snapshot both. */
+    void
+    step(const std::function<void(PlanWorld &)> &fn)
+    {
+        fn(planned);
+        fn(live);
+        plannedSnaps.push_back(planned.snapshot());
+        liveSnaps.push_back(live.snapshot());
+        auditDeepUm(*planned.dum);
+        auditDeepUm(*live.dum);
+        EXPECT_EQ(plannedSnaps.back(), liveSnaps.back())
+            << "after step " << plannedSnaps.size();
+    }
+
+    /** Restart both worlds' chains from kernel @p k's own blocks. */
+    void
+    restart(ExecId k)
+    {
+        step([k](PlanWorld &w) { w.restart(w.walkOf(k)); });
+    }
+};
+
+TEST(WalkPlan, ReplaysAnUnchangedTableAndMatchesTheLiveWalk)
+{
+    PlanPair p;
+    p.step([](PlanWorld &w) { w.dum->notifyKernelLaunch(0); });
+    for (int i = 0; i < 4; ++i)
+        p.restart(0);
+    // The first walk into kernel 1 moves its ways' lastEpoch stamps,
+    // so it is not kept; the second records, the last two replay.
+    EXPECT_EQ(p.planned.stats.get("prefetcher.walksRecorded"), 1u);
+    EXPECT_EQ(p.planned.replayed(), 2u);
+    EXPECT_EQ(p.live.replayed(), 0u);
+    EXPECT_EQ(p.live.stats.get("prefetcher.walksRecorded"), 0u);
+    // A replay probes no table set.
+    EXPECT_LT(p.planned.stats.get("prefetcher.tableVisits"),
+              p.live.stats.get("prefetcher.tableVisits"));
+}
+
+/** Record and replay kernel 1's plan, apply @p mutate, then require
+ * a re-record that matches the live walk, and a replay after it. */
+void
+expectReRecord(const std::function<void(PlanWorld &)> &mutate)
+{
+    PlanPair p;
+    p.step([](PlanWorld &w) { w.dum->notifyKernelLaunch(0); });
+    for (int i = 0; i < 3; ++i)
+        p.restart(0);
+    const std::uint64_t replayed = p.planned.replayed();
+    ASSERT_GT(replayed, 0u);
+    const std::string before = p.plannedSnaps.back();
+    p.step(mutate);
+    p.restart(0);
+    EXPECT_EQ(p.planned.replayed(), replayed)
+        << "a stale plan was replayed";
+    // The first walk may itself move lastEpoch stamps (a new epoch),
+    // and then it is not kept; the one after it is.
+    for (int i = 0; i < 2 && p.planned.replayed() == replayed; ++i)
+        p.restart(0);
+    EXPECT_EQ(p.planned.replayed(), replayed + 1)
+        << "the re-recorded plan was not replayed";
+    EXPECT_NE(p.plannedSnaps.back(), before);
+}
+
+TEST(WalkPlan, RecordForcesReRecord)
+{
+    expectReRecord([](PlanWorld &w) {
+        w.table(1).record(w.base(1) + 2, w.base(1) + 9);
+    });
+}
+
+TEST(WalkPlan, EraseForcesReRecord)
+{
+    expectReRecord([](PlanWorld &w) { w.table(1).erase(w.base(1) + 1); });
+}
+
+TEST(WalkPlan, EraseRangeForcesReRecord)
+{
+    // A scrub with the store untouched: only the table's version
+    // can tell the plan that its leaves are gone.
+    expectReRecord([](PlanWorld &w) {
+        w.dum->blockTables().eraseBlocksInRange(w.base(1) + 7,
+                                                w.base(1) + 9);
+    });
+}
+
+TEST(WalkPlan, CaptureStartEndForcesReRecord)
+{
+    expectReRecord([](PlanWorld &w) {
+        w.table(1).captureStartEnd(w.base(1) + 1, w.base(1) + 8, 9);
+    });
+}
+
+TEST(WalkPlan, VisitThatMovesLastEpochForcesReRecord)
+{
+    // An entry no walk reaches goes stale; refreshing it brings it
+    // back into the fresh sweep.
+    PlanPair p;
+    p.step([](PlanWorld &w) {
+        BlockCorrelationTable &t = w.table(1);
+        t.record(w.base(1) + 10, w.base(1) + 11);
+        for (int e = 0; e < 6; ++e)
+            t.captureStartEnd(w.base(1), w.base(1) + 8, 9);
+        w.dum->notifyKernelLaunch(0);
+    });
+    for (int i = 0; i < 3; ++i)
+        p.restart(0);
+    const std::uint64_t replayed = p.planned.replayed();
+    ASSERT_GT(replayed, 0u);
+    const std::uint64_t version = p.planned.table(1).version();
+    // Refreshing a fresh entry moves nothing the walk reads.
+    p.step([](PlanWorld &w) { w.table(1).refresh(w.base(1)); });
+    EXPECT_EQ(p.planned.table(1).version(), version);
+    p.step([](PlanWorld &w) { w.table(1).refresh(w.base(1) + 10); });
+    EXPECT_NE(p.planned.table(1).version(), version);
+    p.restart(0);
+    EXPECT_EQ(p.planned.replayed(), replayed);
+    p.restart(0);
+    EXPECT_EQ(p.planned.replayed(), replayed + 1);
+}
+
+TEST(WalkPlan, RangeRegisterAndUnregisterForceReRecord)
+{
+    // Kernel 1's table names blocks of a range that is not
+    // registered yet: the plan records them as unknown, and the
+    // registration must make the next walk resolve them.
+    const mem::VAddr vr = mem::kUmBase + 256 * mem::kBlockBytes;
+    PlanPair p;
+    p.step([vr](PlanWorld &w) {
+        w.table(1).record(w.base(1) + 2, mem::blockOf(vr));
+        w.table(1).record(mem::blockOf(vr), mem::blockOf(vr) + 1);
+        w.dum->notifyKernelLaunch(0);
+    });
+    for (int i = 0; i < 3; ++i)
+        p.restart(0);
+    std::uint64_t replayed = p.planned.replayed();
+    ASSERT_GT(replayed, 0u);
+    p.step([vr](PlanWorld &w) {
+        w.drv.registerRange(vr, 2 * mem::kBlockBytes);
+    });
+    p.restart(0);
+    EXPECT_EQ(p.planned.replayed(), replayed);
+    p.restart(0);
+    EXPECT_EQ(p.planned.replayed(), ++replayed);
+    p.restart(0);
+    ++replayed;
+    // Freeing it scrubs the table and the protection stamps.
+    p.step([vr](PlanWorld &w) {
+        w.drv.unregisterRange(vr, 2 * mem::kBlockBytes);
+    });
+    p.restart(0);
+    EXPECT_EQ(p.planned.replayed(), replayed);
+    p.restart(0);
+    EXPECT_EQ(p.planned.replayed(), replayed + 1);
+}
+
+TEST(WalkPlan, BudgetCutsMidReplayMatchTheLiveWalk)
+{
+    // Every cap from "dies on entry" to "never binds": a restart from
+    // kernel k's own blocks leaves the whole budget to kernel k+1,
+    // one with no faults spends nine candidates on kernel k first.
+    // Each kernel takes the short-budget restart first, so a replay
+    // cut in a fresh slot generation is followed by a full one in
+    // the same generation (the listed prefix must not overreach).
+    std::uint32_t cutReplays = 0;
+    for (std::uint32_t cap = 1; cap <= 24; ++cap) {
+        DeepUmConfig c = PlanPair::config();
+        c.chainEnqueueCap = cap;
+        PlanPair p(c);
+        for (int round = 0; round < 2; ++round) {
+            for (ExecId k = 0; k < 4; ++k) {
+                p.step([k](PlanWorld &w) {
+                    w.dum->notifyKernelLaunch(k);
+                });
+                const std::uint64_t before = p.planned.replayed();
+                p.step([](PlanWorld &w) { w.restart({}); });
+                const Prefetcher &pf = p.planned.dum->prefetcher();
+                if (p.planned.replayed() > before && !pf.chainActive() &&
+                    pf.chainDepth() == 1)
+                    ++cutReplays;
+                p.restart(k);
+                p.restart(k);
+                p.step([](PlanWorld &w) {
+                    w.dum->prefetcher().onKernelEnd();
+                });
+            }
+        }
+        if (::testing::Test::HasFailure())
+            FAIL() << "chainEnqueueCap " << cap;
+    }
+    EXPECT_GE(cutReplays, 4u);
+}
+
+TEST(WalkPlan, PausedWalkResumesLiveAfterATableMutation)
+{
+    // lookaheadN 2: the walk into kernel 2 pauses on entry; its table
+    // changes before the running kernel ends and the walk resumes.
+    PlanPair p;
+    p.step([](PlanWorld &w) { w.dum->notifyKernelLaunch(0); });
+    for (int i = 0; i < 3; ++i) {
+        p.restart(0);
+        ASSERT_TRUE(p.planned.dum->prefetcher().chainActive());
+        ASSERT_EQ(p.planned.dum->prefetcher().chainDepth(), 2u);
+        p.step([i](PlanWorld &w) {
+            w.table(2).record(w.base(2) + 1,
+                              w.base(2) + 9 + mem::BlockId(i));
+            w.dum->prefetcher().onKernelEnd();
+        });
+        // The resumed walk and the transitions after it pause again.
+        EXPECT_TRUE(p.planned.dum->prefetcher().chainActive());
+    }
+    EXPECT_GT(p.planned.replayed(), 0u);
+}
+
+TEST(WalkPlanDeath, CorruptedPlanEntryIsCaught)
+{
+    PlanWorld w(PlanPair::config(), true);
+    w.dum->notifyKernelLaunch(0);
+    for (int i = 0; i < 3; ++i)
+        w.restart(w.walkOf(0));
+    auditDeepUm(*w.dum);
+    ASSERT_TRUE(PrefetcherTestAccess::corruptPlan(w.dum->prefetcher()));
+    EXPECT_DEATH(auditDeepUm(*w.dum), "is not its table's walk");
 }
 
 // ----------------------------------------------------- eviction policy
