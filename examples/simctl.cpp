@@ -227,7 +227,7 @@ main(int argc, char **argv)
         } else if (a == "--lookahead") {
             cfg.deepum.lookaheadN =
                 static_cast<std::uint32_t>(
-                    numArg(argc, argv, i, kU32Max));
+                    numArg(argc, argv, i, core::kMaxLookaheadN));
         } else if (a == "--rows") {
             cfg.deepum.table.numRows =
                 static_cast<std::uint32_t>(

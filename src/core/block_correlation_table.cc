@@ -151,7 +151,8 @@ BlockCorrelationTable::freshWays(std::uint32_t window,
 void
 BlockCorrelationTable::refresh(mem::BlockId b)
 {
-    (void)visit(b);
+    if (Entry *e = find(b))
+        touch(*e);
 }
 
 std::uint32_t
@@ -160,18 +161,6 @@ BlockCorrelationTable::wayOf(mem::BlockId b) const
     const Entry *e = find(b);
     return e == nullptr ? kNoWay
                         : static_cast<std::uint32_t>(e - entries_.data());
-}
-
-SuccView
-BlockCorrelationTable::visit(mem::BlockId b)
-{
-    Entry *e = find(b);
-    if (e == nullptr)
-        return SuccView{};
-    touch(*e);
-    return SuccView{
-        succsOf(static_cast<std::size_t>(e - entries_.data())),
-        e->succCount};
 }
 
 void
@@ -188,9 +177,8 @@ void
 BlockCorrelationTable::eraseRange(mem::BlockId first, mem::BlockId end)
 {
     // Always a new version, even when nothing here names the range:
-    // the prefetcher clears the freed blocks' protection stamps in
-    // the same unregister, and its replay shortcut relies on every
-    // table moving with them.
+    // a scrub is rare, and a plan it retires needlessly costs one
+    // live walk.
     ++version_;
     auto dead = [first, end](mem::BlockId b) {
         return b >= first && b < end;

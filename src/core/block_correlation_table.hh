@@ -199,7 +199,7 @@ class BlockCorrelationTable
     DEEPUM_NOALLOC void refresh(mem::BlockId b);
 
     /**
-     * Mark the occupied way @p way as used this epoch: visit() on
+     * Mark the occupied way @p way as used this epoch: refresh() on
      * its tag without the set probe (the sweep or wayOf() already
      * found it).
      */
@@ -210,12 +210,6 @@ class BlockCorrelationTable
                       "refreshing empty way %u", way);
         touch(entries_[way]);
     }
-
-    /**
-     * refresh(@p b) and successors(@p b) on one set probe. Same view
-     * contract as successors().
-     */
-    DEEPUM_NOALLOC SuccView visit(mem::BlockId b);
 
     /**
      * Drop @p b's entry. Called when a prefetch predicted from this

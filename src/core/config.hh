@@ -21,6 +21,9 @@ struct BlockTableConfig {
     std::uint32_t numSuccs = 4;   ///< MRU successor slots per entry
 };
 
+/** Largest DeepUmConfig::lookaheadN (a 64-slot window ring). */
+inline constexpr std::uint32_t kMaxLookaheadN = 62;
+
 /** Full DeepUM feature configuration. */
 struct DeepUmConfig {
     bool prefetch = true;    ///< correlation prefetching (Section 4)
@@ -32,7 +35,9 @@ struct DeepUmConfig {
      * paper's sweet spot is 32 on a 32 GB V100; at this simulator's
      * 1/128 memory scale the prefetchable window shrinks with it and
      * the sweet spot sits near 8 (bench/fig11_degree reproduces the
-     * same inverted-U shape).
+     * same inverted-U shape). At most kMaxLookaheadN: the window
+     * ring holds N + 2 slots, one bit each in a 64-bit protection
+     * mask.
      */
     std::uint32_t lookaheadN = 8;
 

@@ -93,9 +93,9 @@ DeepUm::onRangeUnregistered(mem::BlockId first, mem::BlockId end)
 {
     // The freed blocks' VA range can be handed out again; scrub every
     // learned reference so stale correlations never chain onto a
-    // reused (or dead) address. The prefetcher also drops protection
-    // refcounts keyed by the freed blocks' slab slots before those
-    // slots can be reassigned.
+    // reused (or dead) address. The prefetcher also drops its
+    // listings of the freed blocks' slab slots before those slots
+    // can be reassigned.
     blockTables_.eraseBlocksInRange(first, end);
     correlator_.onRangeUnregistered(first, end);
     prefetcher_.onRangeUnregistered(first, end);

@@ -1,6 +1,7 @@
 #include "core/prefetcher.hh"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <ostream>
 
@@ -56,6 +57,10 @@ Prefetcher::Prefetcher(uvm::Driver &drv, ExecCorrelationTable &exec_table,
                 "ticks between prefetch completion and consuming-"
                 "kernel launch")
 {
+    DEEPUM_ASSERT(cfg.lookaheadN <= kMaxLookaheadN,
+                  "lookahead %u exceeds %u: the window ring would "
+                  "outgrow the 64-bit protection mask",
+                  cfg.lookaheadN, kMaxLookaheadN);
 }
 
 void
@@ -63,52 +68,45 @@ Prefetcher::pushSlot(ExecId exec)
 {
     DEEPUM_ASSERT(slotCount_ < slotBuf_.size(),
                   "prediction window overflows its ring");
-    Slot &s = slotAt(slotCount_);
-    s.exec = exec;
-    s.gen = ++protGen_; // retires every stamp the slot left behind
-    s.blocks.clear();   // recycled slot: keep the list's capacity
+    // A dead slot was emptied when popped, and its ring position's
+    // mask bits with it.
+    slotAt(slotCount_).exec = exec;
     ++slotCount_;
 }
 
 void
-Prefetcher::dropProt(uvm::BlockIndex i)
+Prefetcher::dropProt(uvm::BlockIndex i, std::size_t pos)
 {
-    DEEPUM_ASSERT(i < protCount_.size() && protCount_[i] > 0,
-                  "protection refcount out of sync");
-    if (--protCount_[i] == 0) {
+    const std::uint64_t bit = std::uint64_t{1} << pos;
+    DEEPUM_ASSERT(i < protMask_.size() && (protMask_[i] & bit) != 0,
+                  "protection mask out of sync");
+    if ((protMask_[i] &= ~bit) == 0) {
         --protectedDistinct_;
         drv_.setHeld(i, false);
     }
 }
 
 void
-Prefetcher::protect(std::size_t slot, mem::BlockId b, uvm::BlockIndex i)
+Prefetcher::addListing(std::size_t pos, uvm::BlockIndex i)
 {
-    if (i == uvm::kNoBlockIndex)
-        return; // unknown block: nothing to hold
-    const std::size_t pos = ringPos(slot);
-    Slot &s = slotBuf_[pos];
-    std::uint64_t &stamp = stampAt(i, pos);
-    if (stamp == s.gen)
-        return; // a restarted chain re-issued what this slot holds
-    stamp = s.gen;
-    support::pushAmortized(s.blocks, ProtEntry{b, i});
-    ++protectListings_;
-    if (protCount_[i]++ == 0) {
+    std::uint64_t &mask = protMask_[i];
+    if (mask == 0) {
         ++protectedDistinct_;
         drv_.setHeld(i, true);
     }
+    mask |= std::uint64_t{1} << pos;
+    support::pushAmortized(slotBuf_[pos].blocks, i);
+    ++protectListings_;
 }
 
 void
 Prefetcher::popFrontSlot()
 {
     DEEPUM_ASSERT(slotCount_ > 0, "popping an empty window");
-    Slot &front = slotAt(0);
-    for (const ProtEntry &e : front.blocks) {
-        if (e.idx != uvm::kNoBlockIndex)
-            dropProt(e.idx);
-    }
+    const std::size_t pos = ringPos(0);
+    Slot &front = slotBuf_[pos];
+    for (uvm::BlockIndex i : front.blocks)
+        dropProt(i, pos);
     front.exec = kNoExecId;
     front.blocks.clear();
     slotHead_ = (slotHead_ + 1) % slotBuf_.size();
@@ -139,23 +137,21 @@ Prefetcher::clearAllSlots()
 }
 
 void
-Prefetcher::onRangeUnregistered(mem::BlockId first, mem::BlockId end)
+Prefetcher::onRangeUnregistered(mem::BlockId, mem::BlockId)
 {
-    // Scrub by the recorded protect-time index: the driver has
-    // already dropped the run, so the ids no longer resolve, but the
-    // slots are not reusable until a later registration — which
-    // cannot happen before this hook returns.
-    // Their stamps are cleared too, or a block registered later in
-    // the same slot would read as already listed.
-    for (std::size_t i = 0; i < slotCount_; ++i) {
-        for (ProtEntry &e : slotAt(i).blocks) {
-            if (e.block >= first && e.block < end &&
-                e.idx != uvm::kNoBlockIndex) {
-                dropProt(e.idx);
-                stampAt(e.idx, ringPos(i)) = 0;
-                e.idx = uvm::kNoBlockIndex;
-            }
-        }
+    // The driver has already dropped the run: its slab slots read
+    // kNoBlock until a later registration reuses them, which cannot
+    // happen before this hook returns. Clearing their bits leaves a
+    // reused slot unlisted everywhere.
+    const uvm::BlockStore &st = drv_.store();
+    for (std::size_t w = 0; w < slotCount_; ++w) {
+        const std::size_t pos = ringPos(w);
+        std::erase_if(slotBuf_[pos].blocks, [&](uvm::BlockIndex i) {
+            if (st.idAt(i) != uvm::kNoBlock)
+                return false;
+            dropProt(i, pos);
+            return true;
+        });
     }
 }
 
@@ -172,7 +168,7 @@ Prefetcher::enqueue(std::size_t slot, mem::BlockId b, uvm::BlockIndex i)
 void
 Prefetcher::issue(std::size_t slot, mem::BlockId b, uvm::BlockIndex i)
 {
-    protect(slot, b, i);
+    protect(ringPos(slot), i);
     enqueue(slot, b, i);
     support::pushAmortized(walk_, b);
     if (recExec_ != kNoExecId)
@@ -261,7 +257,7 @@ Prefetcher::onFaultBlocks(const std::vector<mem::BlockId> &blocks)
             continue;
         // The faulted blocks are demand-migrating; protect them for
         // the current kernel and walk their successors.
-        protect(0, b, i);
+        protect(ringPos(0), i);
         support::pushAmortized(walk_, b);
     }
     enterKernelTable(0);
@@ -394,30 +390,24 @@ Prefetcher::commitRecording()
         WalkPlan &plan = plans_[recExec_];
         plan.version = recVersion_;
         plan.layout = drv_.store().layoutVersion();
-        plan.listedGen = slotAt(chainDepth_).gen;
-        plan.listed = static_cast<std::uint32_t>(plan.steps.size());
         ++walksRecorded_;
     }
     recExec_ = kNoExecId;
 }
 
 void
-Prefetcher::replayPlan(WalkPlan &plan, BlockCorrelationTable &bt)
+Prefetcher::replayPlan(const WalkPlan &plan, BlockCorrelationTable &bt)
 {
     const std::size_t slot = chainDepth_;
-    const std::uint64_t gen = slotAt(slot).gen;
-    // The prefix already listed in this slot generation would find
-    // stamp == gen in protect(): skip the call, not just its work.
-    const std::uint32_t listed = plan.listedGen == gen ? plan.listed : 0;
+    const std::size_t pos = ringPos(slot);
     std::uint32_t next = 0; // the next candidate to issue
     auto issueNext = [&] {
-        const uvm::BlockIndex i = plan.steps[next].idx;
-        const mem::BlockId b =
-            i == uvm::kNoBlockIndex ? uvm::kNoBlock : drv_.store().idAt(i);
-        if (next >= listed)
-            protect(slot, b, i);
-        enqueue(slot, b, i);
-        ++next;
+        const uvm::BlockIndex i = plan.steps[next++].idx;
+        protect(pos, i);
+        enqueue(slot,
+                i == uvm::kNoBlockIndex ? uvm::kNoBlock
+                                        : drv_.store().idAt(i),
+                i);
     };
     // Kernel entry: the start block, then the fresh sweep, whose ways
     // are the ones those candidates' visits hit.
@@ -436,12 +426,6 @@ Prefetcher::replayPlan(WalkPlan &plan, BlockCorrelationTable &bt)
         bt.refreshWay(way);
         for (std::uint8_t n = plan.succs[v]; n != 0; --n)
             issueNext();
-    }
-    if (plan.listedGen != gen) {
-        plan.listedGen = gen;
-        plan.listed = next;
-    } else {
-        plan.listed = std::max(plan.listed, next);
     }
     ++walksReplayed_;
 }
@@ -574,86 +558,50 @@ Prefetcher::dryWalk(const BlockCorrelationTable &bt, WalkPlan &out) const
 void
 Prefetcher::checkInvariants(sim::CheckContext &ctx) const
 {
-    // Rebuild the refcounts from the slot lists; they must agree
-    // with the dense protection array exactly.
-    std::vector<std::uint32_t> expected(protCount_.size(), 0);
-    std::size_t expected_distinct = 0;
-    const std::size_t ring = slotBuf_.size();
-    ctx.require(protStamp_.size() == protCount_.size() * ring,
-                "protection stamps hold %zu entries for %zu slab "
-                "slots x %zu ring positions",
-                protStamp_.size(), protCount_.size(), ring);
-    // The window slot that last listed each index (dedupe check).
-    std::vector<std::size_t> listedIn(protCount_.size(), ring);
+    // Rebuild the masks from the slot lists; they must equal the
+    // dense protection array exactly.
+    const uvm::BlockStore &st = drv_.store();
+    std::vector<std::uint64_t> expected(protMask_.size(), 0);
     for (std::size_t w = 0; w < slotCount_; ++w) {
-        const Slot &s = slotAt(w);
         const std::size_t pos = ringPos(w);
-        ctx.require(s.gen != 0 && s.gen <= protGen_,
-                    "slot %zu generation %llu outside (0, %llu]", w,
-                    static_cast<unsigned long long>(s.gen),
-                    static_cast<unsigned long long>(protGen_));
-        // Each listed index carries the slot's stamp, and only listed
-        // indices do: counting the stamps proves both directions.
-        std::size_t listed = 0;
-        for (const ProtEntry &e : s.blocks) {
-            if (e.idx == uvm::kNoBlockIndex)
+        const std::uint64_t bit = std::uint64_t{1} << pos;
+        for (uvm::BlockIndex i : slotAt(w).blocks) {
+            ctx.require(i < expected.size(),
+                        "slot %zu lists slab index %u beyond the "
+                        "%zu-entry mask array",
+                        w, i, expected.size());
+            if (i >= expected.size())
                 continue;
-            ctx.require(e.idx < expected.size(),
-                        "slot entry for block %llu names slab index "
-                        "%u beyond the %zu-entry refcount array",
-                        static_cast<unsigned long long>(e.block),
-                        e.idx, expected.size());
-            if (e.idx >= expected.size())
-                continue;
-            ctx.require(e.idx < drv_.store().slabSize() &&
-                            drv_.store().idAt(e.idx) == e.block,
-                        "slot entry for block %llu holds stale slab "
-                        "index %u",
-                        static_cast<unsigned long long>(e.block),
-                        e.idx);
-            const std::uint64_t st = protStamp_[e.idx * ring + pos];
-            ctx.require(st == s.gen,
-                        "slot %zu entry for block %llu carries stamp "
-                        "%llu, slot generation %llu",
-                        w, static_cast<unsigned long long>(e.block),
-                        static_cast<unsigned long long>(st),
-                        static_cast<unsigned long long>(s.gen));
-            ++listed;
-            ctx.require(listedIn[e.idx] != w,
-                        "slot %zu lists slab index %u twice", w, e.idx);
-            listedIn[e.idx] = w;
-            if (expected[e.idx]++ == 0)
-                ++expected_distinct;
+            ctx.require(i < st.slabSize() && st.idAt(i) != uvm::kNoBlock,
+                        "slot %zu lists freed slab index %u", w, i);
+            ctx.require((expected[i] & bit) == 0,
+                        "slot %zu lists slab index %u twice", w, i);
+            expected[i] |= bit;
         }
-        std::size_t stamped = 0;
-        for (std::size_t i = 0; i < protCount_.size(); ++i)
-            stamped += protStamp_[i * ring + pos] == s.gen;
-        ctx.require(stamped == listed,
-                    "slot %zu generation stamps %zu slab slots, its "
-                    "list names %zu",
-                    w, stamped, listed);
+    }
+    std::size_t expected_distinct = 0;
+    for (std::size_t i = 0; i < protMask_.size(); ++i) {
+        expected_distinct += expected[i] != 0;
+        if (protMask_[i] == expected[i])
+            continue;
+        ctx.fail("slab slot %zu protection mask %#llx disagrees with "
+                 "slot lists (%#llx)",
+                 i, static_cast<unsigned long long>(protMask_[i]),
+                 static_cast<unsigned long long>(expected[i]));
     }
     ctx.require(expected_distinct == protectedDistinct_,
                 "protection array holds %zu blocks, slots reference "
                 "%zu",
                 protectedDistinct_, expected_distinct);
-    for (std::size_t i = 0; i < protCount_.size(); ++i) {
-        if (protCount_[i] == expected[i])
-            continue;
-        ctx.fail("slab slot %zu refcount %u disagrees with slot "
-                 "lists (%u)",
-                 i, protCount_[i], expected[i]);
-    }
     // The store's hold bits are the eviction policy's view of the
-    // protected set: exactly the slots with a nonzero refcount.
-    const uvm::BlockStore &st = drv_.store();
+    // protected set: exactly the slots with a non-zero mask.
     for (uvm::BlockIndex i = 0; i < st.slabSize(); ++i) {
-        bool prot = i < protCount_.size() && protCount_[i] != 0;
-        ctx.require(st.at(i).held == prot,
+        const std::uint64_t mask = i < protMask_.size() ? protMask_[i] : 0;
+        ctx.require(st.at(i).held == (mask != 0),
                     "slab slot %u hold bit %d disagrees with its "
                     "protection refcount %u",
                     i, int(st.at(i).held),
-                    i < protCount_.size() ? protCount_[i] : 0u);
+                    static_cast<unsigned>(std::popcount(mask)));
     }
     ctx.require(slotCount_ <= std::size_t(cfg_.lookaheadN) + 2,
                 "prediction window holds %zu slots, lookahead is %u",
@@ -673,8 +621,7 @@ Prefetcher::checkInvariants(sim::CheckContext &ctx) const
     ctx.require(walkHead_ <= walk_.size(),
                 "walk cursor %zu beyond the %zu-entry queue",
                 walkHead_, walk_.size());
-    // Replayable plans must be the walk their table yields now, and
-    // the prefix they claim listed must still be listed.
+    // Replayable plans must be the walk their table yields now.
     WalkPlan dry;
     for (ExecId id = 0; id < plans_.size(); ++id) {
         const WalkPlan &plan = plans_[id];
@@ -695,32 +642,6 @@ Prefetcher::checkInvariants(sim::CheckContext &ctx) const
                     "not its table's walk (%zu candidates, entry %u)",
                     id, plan.steps.size(), plan.entry, dry.steps.size(),
                     dry.entry);
-        ctx.require(plan.listed <= plan.steps.size(),
-                    "exec %u plan lists %u of %zu candidates", id,
-                    plan.listed, plan.steps.size());
-        for (std::size_t w = 0; w < slotCount_; ++w) {
-            if (slotAt(w).gen != plan.listedGen)
-                continue;
-            const std::size_t pos = ringPos(w);
-            for (std::uint32_t k = 0;
-                 k < plan.listed && k < plan.steps.size(); ++k) {
-                const uvm::BlockIndex i = plan.steps[k].idx;
-                if (i == uvm::kNoBlockIndex)
-                    continue;
-                const std::uint64_t stamp =
-                    std::size_t(i) * ring + pos < protStamp_.size()
-                        ? protStamp_[std::size_t(i) * ring + pos]
-                        : 0;
-                ctx.require(stamp == plan.listedGen,
-                            "exec %u plan candidate %u (slab index %u) "
-                            "listed in generation %llu carries stamp "
-                            "%llu",
-                            id, k, i,
-                            static_cast<unsigned long long>(
-                                plan.listedGen),
-                            static_cast<unsigned long long>(stamp));
-            }
-        }
     }
     std::size_t pending = 0;
     for (ExecId id = 0; id < pendingDone_.size(); ++id)
@@ -744,18 +665,18 @@ Prefetcher::dumpState(std::ostream &os) const
         const Slot &s = slotAt(i);
         os << "  slot " << i << ": exec=" << s.exec << " blocks=[";
         for (std::size_t j = 0; j < s.blocks.size(); ++j)
-            os << (j != 0 ? " " : "") << s.blocks[j].block;
+            os << (j != 0 ? " " : "") << drv_.store().idAt(s.blocks[j]);
         os << "]\n";
     }
     os << "  protected:";
-    // Slab-index order: deterministic, and the ids are live (slots
-    // with a refcount always back a registered block).
-    for (std::size_t i = 0; i < protCount_.size(); ++i) {
-        if (protCount_[i] != 0)
+    // Slab-index order: deterministic, and the ids are live (a
+    // non-zero mask always backs a registered block).
+    for (std::size_t i = 0; i < protMask_.size(); ++i) {
+        if (protMask_[i] != 0)
             os << " "
                << drv_.store().idAt(
                       static_cast<uvm::BlockIndex>(i))
-               << "x" << protCount_[i];
+               << "x" << std::popcount(protMask_[i]);
     }
     os << "\n";
 }

@@ -16,18 +16,20 @@
  * The prefetcher also maintains the *protected set* — blocks
  * predicted to be used by the current and next N kernels — which the
  * DeepUM eviction policy honours (Section 5.1). Both the walk
- * dedupe and the protection refcounts are dense arrays keyed by the
+ * dedupe and the protection state are dense arrays keyed by the
  * driver's BlockStore slab indices: the dedupe is epoch-stamped (a
- * generation bump is the O(1) per-activation clear). Each window
- * slot lists a block at most once: a stamp per (slab index, ring
- * position) records the slot generation that last listed it, so a
- * chain restart that re-issues what the previous chain protected
- * pushes nothing. A refcount counts the slots listing its block, and
- * its 0<->1 transitions set and clear the block's hold bit in the
- * store, which is all the eviction policy reads. Each walked block
- * is resolved to its slab index once, and that index feeds the
- * dedupe, the protection stamp, the refcount and the driver's
- * prefetch enqueue.
+ * generation bump is the O(1) per-activation clear). Protection is
+ * one 64-bit mask per slab index: bit pos is set exactly when the
+ * window slot at ring position pos lists that block (the ring holds
+ * N + 2 <= 64 slots). So a chain restart that re-issues what a slot
+ * already lists pushes nothing (one bit test), a mask going 0<->non-0
+ * sets and clears the block's hold bit in the store — all the
+ * eviction policy reads — and popping a slot clears its bit in each
+ * block it lists, which leaves the recycled ring position blank. A
+ * freed range's listings are dropped when it is unregistered, so a
+ * list never names a dead slab index. Each walked block is resolved
+ * to its slab index once, and that index feeds the dedupe, the
+ * protection mask and the driver's prefetch enqueue.
  *
  * A transition walk — the chain entering a predicted kernel's table
  * with a fresh seen-set — is a function of that table's walk-visible
@@ -40,12 +42,9 @@
  * the plan when both versions still match: the same issues and
  * budget checks at the same positions and the same refreshWay()
  * ticks in the same order, without the set probes, the store lookups
- * or the dedupe. A plan also remembers the slot generation it was
- * last listed into and how far; a replay into that generation skips
- * protect() for the listed prefix, where it would find stamp == gen
- * and do nothing (a range unregister clears stamps and bumps every
- * table's version, so such a plan is never replayed). Restart walks
- * (from faulted blocks, into the kernel being recorded), single-block
+ * or the dedupe; protect() runs for every candidate, and on what the
+ * slot already lists it is that one bit test. Restart walks (from
+ * faulted blocks, into the kernel being recorded), single-block
  * kernels and the walk that pauses at depth N stay live and
  * unplanned. A plan commits only if the recording walk moved no
  * version, so the state it replays from is the state it recorded.
@@ -110,9 +109,8 @@ class Prefetcher
                                             ExecId exec_id, sim::Tick at);
 
     /**
-     * The driver dropped [first, end): release the protection held
-     * for those blocks and forget their slab indices before the
-     * slots can be reused by a later registration.
+     * The driver dropped [first, end): drop every listing of a slab
+     * slot it freed, before a later registration can reuse the slot.
      */
     void onRangeUnregistered(mem::BlockId first, mem::BlockId end);
 
@@ -124,7 +122,7 @@ class Prefetcher
     isProtected(mem::BlockId b) const
     {
         uvm::BlockIndex i = drv_.store().find(b);
-        return i < protCount_.size() && protCount_[i] != 0;
+        return i < protMask_.size() && protMask_[i] != 0;
     }
 
     /** Number of kernels the chain has advanced past the current. */
@@ -137,19 +135,15 @@ class Prefetcher
     std::size_t protectedCount() const { return protectedDistinct_; }
 
     /**
-     * Audit the protection bookkeeping (sim/validate.hh): the
-     * refcount array must equal the multiset union of the slot block
-     * lists, no slot may list a slab index twice, a (slab index,
-     * ring position) stamp must equal its slot's generation exactly
-     * when that slot lists the index, live slot entries must name
-     * the slab slot their block still occupies, every slab slot's
-     * store hold bit must equal its refcount being nonzero, the
-     * window must respect the lookahead bound, the chain cursor must
-     * point into the window, and the pending completion table's
-     * non-empty counter must match its slots. Every replayable plan
-     * must equal a side-effect-free dry walk of its table, and while
-     * its listed generation is live, every listed candidate must
-     * carry that generation's stamp.
+     * Audit the protection bookkeeping (sim/validate.hh): the masks
+     * rebuilt from the slot lists must equal protMask_, no slot may
+     * list a slab index twice or list a freed one, the count of
+     * non-zero masks must equal protectedCount(), every slab slot's
+     * store hold bit must equal its mask being non-zero, the window
+     * must respect the lookahead bound, the chain cursor must point
+     * into the window, and the pending completion table's non-empty
+     * counter must match its slots. Every replayable plan must equal
+     * a side-effect-free dry walk of its table.
      */
     void checkInvariants(sim::CheckContext &ctx) const;
 
@@ -160,19 +154,10 @@ class Prefetcher
     /** Test-only access to private state (seeded-corruption tests). */
     friend struct PrefetcherTestAccess;
 
-    /** One protected block plus its slab slot at protect time. */
-    struct ProtEntry {
-        mem::BlockId block = uvm::kNoBlock;
-        uvm::BlockIndex idx = uvm::kNoBlockIndex;
-    };
-
     /** One kernel's slot in the prediction window. */
     struct Slot {
         ExecId exec = kNoExecId;
-        /** Stamp of this slot's listings in protStamp_; a fresh value
-         * from protGen_ each time the slot is pushed. */
-        std::uint64_t gen = 0;
-        std::vector<ProtEntry> blocks; ///< distinct blocks protected
+        std::vector<uvm::BlockIndex> blocks; ///< distinct slab slots held
     };
 
     /** One walk-plan candidate, in issue order. */
@@ -193,10 +178,6 @@ class Prefetcher
     struct WalkPlan {
         std::uint64_t version = 0; ///< table version; 0 = no plan
         std::uint64_t layout = 0;  ///< store layout at record time
-        /** Candidates [0, listed) are listed in slot generation
-         * listedGen (their stamps equal it while it lives). */
-        std::uint64_t listedGen = 0;
-        std::uint32_t listed = 0;
         std::uint32_t entry = 0;
         std::vector<PlanStep> steps;
         std::vector<std::uint8_t> succs;
@@ -213,13 +194,6 @@ class Prefetcher
     Slot &slotAt(std::size_t i) { return slotBuf_[ringPos(i)]; }
     const Slot &slotAt(std::size_t i) const { return slotBuf_[ringPos(i)]; }
 
-    /** Protection stamp of slab slot @p i at ring position @p pos. */
-    std::uint64_t &
-    stampAt(uvm::BlockIndex i, std::size_t pos)
-    {
-        return protStamp_[std::size_t(i) * slotBuf_.size() + pos];
-    }
-
     /** Append a window slot for @p exec (ring reuse, no allocation). */
     DEEPUM_NOALLOC void pushSlot(ExecId exec);
 
@@ -234,10 +208,9 @@ class Prefetcher
     growScratch()
     {
         std::size_t n = drv_.store().slabSize();
-        if (protCount_.size() < n) {
-            protCount_.resize(n, 0);
+        if (protMask_.size() < n) {
+            protMask_.resize(n, 0);
             seenEpoch_.resize(n, 0);
-            protStamp_.resize(n * slotBuf_.size(), 0);
         }
     }
 
@@ -296,15 +269,25 @@ class Prefetcher
             pendingDone_.resize(std::size_t(exec_id) + 1);
     }
 
-    /** Drop one protection reference on slab slot @p i. */
-    DEEPUM_NOALLOC void dropProt(uvm::BlockIndex i);
+    /** Clear ring position @p pos's bit in slab slot @p i's mask. */
+    DEEPUM_NOALLOC void dropProt(uvm::BlockIndex i, std::size_t pos);
 
     /**
-     * Add @p b (slab slot @p i) to @p slot's protection list unless
-     * the slot already lists it.
+     * Add slab slot @p i to the protection list of the window slot at
+     * ring position @p pos unless that slot already lists it (a
+     * restarted chain re-issues what its slots hold) or the block is
+     * unknown (nothing to hold). Inline: on replays the test is most
+     * of the per-candidate work.
      */
-    DEEPUM_NOALLOC void protect(std::size_t slot, mem::BlockId b,
-                                uvm::BlockIndex i);
+    DEEPUM_NOALLOC void
+    protect(std::size_t pos, uvm::BlockIndex i)
+    {
+        if (i != uvm::kNoBlockIndex && (protMask_[i] >> pos & 1) == 0)
+            addListing(pos, i);
+    }
+
+    /** First listing of slab slot @p i at ring position @p pos. */
+    DEEPUM_NOALLOC void addListing(std::size_t pos, uvm::BlockIndex i);
 
     /** Drop the front slot (its kernel retired or mispredicted). */
     DEEPUM_NOALLOC void popFrontSlot();
@@ -340,7 +323,7 @@ class Prefetcher
      * issues, ticks on @p bt and budget checks, stopping where it
      * would stop.
      */
-    DEEPUM_NOALLOC void replayPlan(WalkPlan &plan,
+    DEEPUM_NOALLOC void replayPlan(const WalkPlan &plan,
                                    BlockCorrelationTable &bt);
 
     /** The walk a transition into @p bt would record, computed
@@ -378,16 +361,9 @@ class Prefetcher
     std::size_t slotHead_ = 0;
     std::size_t slotCount_ = 0;
 
-    /** Slots listing each block, keyed by slab index. */
-    std::vector<std::uint32_t> protCount_;
-    /**
-     * Per-slot listing stamps, slab-index-major: entry
-     * i * ring size + pos holds the generation of the ring slot at
-     * pos that last listed slab index i. 0 never names a live slot.
-     */
-    std::vector<std::uint64_t> protStamp_;
-    std::uint64_t protGen_ = 0; ///< last slot generation handed out
-    /** Slots with a nonzero protection refcount. */
+    /** Per slab index, bit pos set iff the ring slot at pos lists it. */
+    std::vector<std::uint64_t> protMask_;
+    /** Slab slots with a non-zero protection mask. */
     std::size_t protectedDistinct_ = 0;
 
     /**

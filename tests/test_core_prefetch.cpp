@@ -29,7 +29,7 @@
 
 namespace deepum::core {
 
-/** Test-only access to the prefetcher's walk plans. */
+/** Test-only access to the prefetcher's walk plans and masks. */
 struct PrefetcherTestAccess {
     /** Walk every transition live, as if no plan could exist. */
     static void disablePlans(Prefetcher &pf) { pf.plansOn_ = false; }
@@ -49,6 +49,28 @@ struct PrefetcherTestAccess {
             return true;
         }
         return false;
+    }
+
+    /** The ring positions whose slots list some block: the OR of
+     * every protection mask. */
+    static std::uint64_t
+    listedPositions(const Prefetcher &pf)
+    {
+        std::uint64_t all = 0;
+        for (std::uint64_t m : pf.protMask_)
+            all |= m;
+        return all;
+    }
+
+    /** Flip the running kernel's bit in slab slot 0's protection
+     * mask. @return false if no mask exists yet. */
+    static bool
+    flipMaskBit(Prefetcher &pf)
+    {
+        if (pf.protMask_.empty() || pf.slotCount_ == 0)
+            return false;
+        pf.protMask_[0] ^= std::uint64_t{1} << pf.ringPos(0);
+        return true;
     }
 };
 
@@ -457,6 +479,54 @@ TEST(DeepUmPipeline, FreedRangeScrubsItsProtection)
     EXPECT_TRUE(c_held);
 }
 
+TEST(DeepUmPipeline, WidestWindowUsesTheTopMaskBitAndScrubsAFreedRange)
+{
+    // lookaheadN 62 fills all 64 ring slots, and a slot's ring
+    // position is its bit in every block's protection mask.
+    DeepUmConfig cfg;
+    cfg.preevictWatermarkPages = mem::kPagesPerBlock;
+    cfg.lookaheadN = kMaxLookaheadN;
+    DeepUmWorld w(cfg);
+    mem::BlockId a0 = mem::blockOf(w.reg(6));
+    const mem::VAddr vb = mem::kUmBase + 64 * mem::kBlockBytes;
+    w.drv.registerRange(vb, 6 * mem::kBlockBytes);
+    mem::BlockId b0 = mem::blockOf(vb);
+    const Prefetcher &pf = w.dum->prefetcher();
+    std::uint64_t positions = 0;
+    // 72 launches: the window slides past every ring position.
+    for (int i = 0; i < 12; ++i) {
+        for (int k = 0; k < 6; ++k) {
+            w.launch(kernelName(k), k, {a0 + k, b0 + k});
+            auditDeepUm(*w.dum);
+            positions |= PrefetcherTestAccess::listedPositions(pf);
+        }
+    }
+    EXPECT_EQ(positions >> 63, 1u) << "ring position 63 never listed";
+    bool b_held = false;
+    for (mem::BlockId b = b0; b < b0 + 6; ++b)
+        b_held = b_held || pf.isProtected(b);
+    ASSERT_TRUE(b_held);
+
+    // Free B while protected; the next range reuses its slab slots.
+    const uvm::BlockIndex b_slot = w.drv.store().find(b0);
+    w.drv.unregisterRange(vb, 6 * mem::kBlockBytes);
+    auditDeepUm(*w.dum);
+    const mem::VAddr vc = mem::kUmBase + 128 * mem::kBlockBytes;
+    w.drv.registerRange(vc, 6 * mem::kBlockBytes);
+    mem::BlockId c0 = mem::blockOf(vc);
+    ASSERT_EQ(w.drv.store().find(c0), b_slot);
+    for (int i = 0; i < 12; ++i) {
+        for (int k = 0; k < 6; ++k) {
+            w.launch(kernelName(k), 100 + k, {a0 + k, c0 + k});
+            auditDeepUm(*w.dum);
+        }
+    }
+    bool c_held = false;
+    for (mem::BlockId c = c0; c < c0 + 6; ++c)
+        c_held = c_held || pf.isProtected(c);
+    EXPECT_TRUE(c_held);
+}
+
 // ---------------------------------------------------------- walk plans
 
 /** Prefetch arrivals in order: the driver queue's order, observed. */
@@ -756,8 +826,8 @@ TEST(WalkPlan, BudgetCutsMidReplayMatchTheLiveWalk)
     // kernel k's own blocks leaves the whole budget to kernel k+1,
     // one with no faults spends nine candidates on kernel k first.
     // Each kernel takes the short-budget restart first, so a replay
-    // cut in a fresh slot generation is followed by a full one in
-    // the same generation (the listed prefix must not overreach).
+    // cut in a freshly pushed slot is followed by a full one in the
+    // same slot (which must list what the cut replay left out).
     std::uint32_t cutReplays = 0;
     for (std::uint32_t cap = 1; cap <= 24; ++cap) {
         DeepUmConfig c = PlanPair::config();
@@ -817,6 +887,22 @@ TEST(WalkPlanDeath, CorruptedPlanEntryIsCaught)
     auditDeepUm(*w.dum);
     ASSERT_TRUE(PrefetcherTestAccess::corruptPlan(w.dum->prefetcher()));
     EXPECT_DEATH(auditDeepUm(*w.dum), "is not its table's walk");
+}
+
+TEST(PrefetcherDeath, FlippedMaskBitIsCaught)
+{
+    DeepUmConfig cfg;
+    cfg.preevictWatermarkPages = mem::kPagesPerBlock;
+    cfg.lookaheadN = 2;
+    DeepUmWorld w(cfg);
+    mem::BlockId b0 = mem::blockOf(w.reg(12));
+    for (int i = 0; i < 4; ++i)
+        for (int k = 0; k < 6; ++k)
+            w.launch(kernelName(k), k, {b0 + 2 * k, b0 + 2 * k + 1});
+    auditDeepUm(*w.dum);
+    ASSERT_TRUE(PrefetcherTestAccess::flipMaskBit(w.dum->prefetcher()));
+    EXPECT_DEATH(auditDeepUm(*w.dum),
+                 "protection mask .* disagrees with slot lists");
 }
 
 // ----------------------------------------------------- eviction policy

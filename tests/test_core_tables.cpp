@@ -234,7 +234,7 @@ TEST(BlockCorrelationTable, FreshWaysTracksRecentEpochs)
     t.freshWays(2, ways);
     EXPECT_TRUE(ways.empty());
     // A chain visit brings it back.
-    (void)t.visit(1);
+    t.refresh(1);
     t.freshWays(2, ways);
     ASSERT_EQ(ways.size(), 1u);
     EXPECT_EQ(t.tagAt(ways[0]), 1u);

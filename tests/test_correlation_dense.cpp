@@ -466,7 +466,7 @@ TEST(CorrelationDense, FreshWaySweepMatchesFullScan)
     BlockTableConfig cfg{37, 3, 3};
     constexpr mem::BlockId kUniverse = 200;
     BlockCorrelationTable t(cfg);
-    // Same ops, but refreshes a swept way through visit(tag): the
+    // Same ops, but refreshes a swept way through refresh(tag): the
     // way-indexed refresh must leave byte-identical state.
     BlockCorrelationTable byTag(cfg);
     RefTable m(cfg);
@@ -483,8 +483,8 @@ TEST(CorrelationDense, FreshWaySweepMatchesFullScan)
             m.record(prev, next);
         } else if (op < 60) {
             mem::BlockId b = rng.below(kUniverse);
-            (void)t.visit(b);
-            (void)byTag.visit(b);
+            t.refresh(b);
+            byTag.refresh(b);
             m.visit(b);
         } else if (op < 72) {
             t.freshWays(std::uint32_t(rng.below(6)), ways);
