@@ -119,12 +119,14 @@ parseNum(const char *s, const char *end_at, std::uint64_t max,
 }
 
 /**
- * The number after flag argv[i], at most @p max — the largest value
- * the flag's destination holds, so nothing narrows or wraps.
+ * The number after flag argv[i], in [@p min, @p max]: at most the
+ * largest value the flag's destination holds, so nothing narrows or
+ * wraps.
  */
 std::uint64_t
 numArg(int argc, char **argv, int &i,
-       std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+       std::uint64_t max = std::numeric_limits<std::uint64_t>::max(),
+       std::uint64_t min = 0)
 {
     if (i + 1 >= argc) {
         std::fprintf(stderr, "simctl: %s requires an argument\n",
@@ -133,12 +135,12 @@ numArg(int argc, char **argv, int &i,
     }
     const char *s = argv[++i];
     std::uint64_t v = 0;
-    if (!parseNum(s, s + std::strlen(s), max, v)) {
+    if (!parseNum(s, s + std::strlen(s), max, v) || v < min) {
         std::fprintf(stderr,
-                     "simctl: %s expects a number in [0, %llu], got "
+                     "simctl: %s expects a number in [%llu, %llu], got "
                      "'%s'\n",
-                     argv[i - 1], static_cast<unsigned long long>(max),
-                     s);
+                     argv[i - 1], static_cast<unsigned long long>(min),
+                     static_cast<unsigned long long>(max), s);
         usage();
     }
     return v;
@@ -231,15 +233,15 @@ main(int argc, char **argv)
         } else if (a == "--rows") {
             cfg.deepum.table.numRows =
                 static_cast<std::uint32_t>(
-                    numArg(argc, argv, i, kU32Max));
+                    numArg(argc, argv, i, kU32Max, 1));
         } else if (a == "--assoc") {
             cfg.deepum.table.assoc =
                 static_cast<std::uint32_t>(
-                    numArg(argc, argv, i, kU32Max));
+                    numArg(argc, argv, i, kU32Max, 1));
         } else if (a == "--succs") {
             cfg.deepum.table.numSuccs =
                 static_cast<std::uint32_t>(
-                    numArg(argc, argv, i, kU32Max));
+                    numArg(argc, argv, i, core::kMaxNumSuccs, 1));
         } else if (a == "--no-prefetch") {
             cfg.deepum.prefetch = false;
         } else if (a == "--no-preevict") {

@@ -28,6 +28,10 @@ BlockCorrelationTable::BlockCorrelationTable(const BlockTableConfig &cfg)
 {
     DEEPUM_ASSERT(cfg_.numRows > 0 && cfg_.assoc > 0 && cfg_.numSuccs > 0,
                   "degenerate block-table geometry");
+    DEEPUM_ASSERT(cfg_.numSuccs <= kMaxNumSuccs,
+                  "%u successors per entry exceed %u: a walk plan "
+                  "counts one visit's successors in a byte",
+                  cfg_.numSuccs, kMaxNumSuccs);
     const std::size_t ways = std::size_t(cfg_.numRows) * cfg_.assoc;
     entries_.resize(ways);
     occupied_.assign((ways + 63) / 64, 0);
@@ -178,7 +182,7 @@ BlockCorrelationTable::eraseRange(mem::BlockId first, mem::BlockId end)
 {
     // Always a new version, even when nothing here names the range:
     // a scrub is rare, and a plan it retires needlessly costs one
-    // live walk.
+    // traversal.
     ++version_;
     auto dead = [first, end](mem::BlockId b) {
         return b >= first && b < end;

@@ -24,6 +24,19 @@ struct BlockTableConfig {
 /** Largest DeepUmConfig::lookaheadN (a 64-slot window ring). */
 inline constexpr std::uint32_t kMaxLookaheadN = 62;
 
+/**
+ * Largest BlockTableConfig::numSuccs: a walk plan counts the
+ * successors one visit issues in a byte. Table 6 sweeps at most 8.
+ */
+inline constexpr std::uint32_t kMaxNumSuccs = 255;
+
+/**
+ * Entries of a kernel's block table are considered live for this
+ * many of its executions after their last record/visit; live entries
+ * are all issued when the chain enters the kernel.
+ */
+inline constexpr std::uint32_t kFreshEpochWindow = 4;
+
 /** Full DeepUM feature configuration. */
 struct DeepUmConfig {
     bool prefetch = true;    ///< correlation prefetching (Section 4)
@@ -52,19 +65,6 @@ struct DeepUmConfig {
 
     /** Safety cap on blocks enqueued per chaining activation. */
     std::uint32_t chainEnqueueCap = 4096;
-
-    /**
-     * Entries of a kernel's block table are considered live for this
-     * many of its executions after their last record/visit; live
-     * entries are all issued when the chain enters the kernel.
-     */
-    std::uint32_t freshEpochWindow = 4;
-
-    /**
-     * When an exact execution-history match is missing, fall back to
-     * the most recently used record of the entry.
-     */
-    bool execPredictMruFallback = true;
 
     // --- mechanism ablations (DESIGN.md section 6) ------------------
     // Each switch disables one of the engineering decisions taken

@@ -1,5 +1,6 @@
 #include "core/exec_correlation_table.hh"
 
+#include <algorithm>
 #include <ostream>
 
 #include "sim/logging.hh"
@@ -14,52 +15,36 @@ ExecCorrelationTable::record(ExecId cur, const ExecHistory &hist,
     DEEPUM_ASSERT(cur != kNoExecId, "record under kNoExecId");
     growEntries(cur);
     Entry &e = entries_[cur];
-    if (e.count == 0)
+    if (e.empty())
         ++liveEntries_;
-
-    for (std::uint32_t i = 0; i < e.count; ++i) {
-        const Record &r = e.at(i);
-        if (r.hist != hist || r.next != next)
-            continue;
-        // Move to MRU position: slide [0, i) down one logical slot.
-        Record hit = r;
-        for (std::uint32_t j = i; j > 0; --j)
-            e.at(j) = e.at(j - 1);
-        e.at(0) = hit;
-        return;
+    auto hit = std::find_if(e.begin(), e.end(), [&](const Record &r) {
+        return r.hist == hist && r.next == next;
+    });
+    if (hit == e.end()) {
+        // A history never seen before: the only growth.
+        support::pushAmortized(e, Record{hist, next});
+        hit = e.end() - 1;
     }
-    // New record: grow by one slot at the cold end, shift everything
-    // down, insert at MRU. Only this path (a history never seen
-    // before) can touch the heap, and only once count exceeds the
-    // inline capacity.
-    if (e.count >= kInlineRecords)
-        growOverflow(e);
-    ++e.count;
-    for (std::uint32_t j = e.count - 1; j > 0; --j)
-        e.at(j) = e.at(j - 1);
-    e.at(0) = Record{hist, next};
+    std::rotate(e.begin(), hit, hit + 1);
 }
 
 ExecId
-ExecCorrelationTable::predict(ExecId cur, const ExecHistory &hist,
-                              bool mru_fallback) const
+ExecCorrelationTable::predict(ExecId cur, const ExecHistory &hist) const
 {
-    if (cur >= entries_.size())
+    if (cur >= entries_.size() || entries_[cur].empty())
         return kNoExecId;
     const Entry &e = entries_[cur];
-    if (e.count == 0)
-        return kNoExecId;
-    for (std::uint32_t i = 0; i < e.count; ++i) {
-        if (e.at(i).hist == hist)
-            return e.at(i).next;
+    for (const Record &r : e) {
+        if (r.hist == hist)
+            return r.next;
     }
-    return mru_fallback ? e.at(0).next : kNoExecId;
+    return e.front().next;
 }
 
 std::size_t
 ExecCorrelationTable::recordCount(ExecId cur) const
 {
-    return cur < entries_.size() ? entries_[cur].count : 0;
+    return cur < entries_.size() ? entries_[cur].size() : 0;
 }
 
 std::uint64_t
@@ -67,8 +52,8 @@ ExecCorrelationTable::sizeBytes() const
 {
     std::uint64_t bytes = 0;
     for (const Entry &e : entries_) {
-        if (e.count > 0)
-            bytes += sizeof(ExecId) + e.count * sizeof(Record);
+        if (!e.empty())
+            bytes += sizeof(ExecId) + e.size() * sizeof(Record);
     }
     return bytes;
 }
@@ -79,20 +64,15 @@ ExecCorrelationTable::checkInvariants(sim::CheckContext &ctx) const
     std::size_t live = 0;
     for (ExecId id = 0; id < entries_.size(); ++id) {
         const Entry &e = entries_[id];
-        if (e.count > 0)
+        if (!e.empty())
             ++live;
-        const std::size_t want_overflow =
-            e.count > kInlineRecords ? e.count - kInlineRecords : 0;
-        ctx.require(e.overflow.size() == want_overflow,
-                    "exec %u holds %zu overflow records for count %u",
-                    id, e.overflow.size(), e.count);
-        for (std::uint32_t a = 0; a < e.count; ++a) {
-            for (std::uint32_t b = a + 1; b < e.count; ++b)
-                ctx.require(!(e.at(a).hist == e.at(b).hist &&
-                              e.at(a).next == e.at(b).next),
+        for (std::size_t a = 0; a < e.size(); ++a) {
+            for (std::size_t b = a + 1; b < e.size(); ++b)
+                ctx.require(!(e[a].hist == e[b].hist &&
+                              e[a].next == e[b].next),
                             "exec %u holds a duplicate (history, "
                             "next=%u) record",
-                            id, e.at(a).next);
+                            id, e[a].next);
         }
     }
     ctx.require(live == liveEntries_,
@@ -107,11 +87,10 @@ ExecCorrelationTable::dumpState(std::ostream &os) const
     os << "ExecCorrelationTable{entries=" << liveEntries_ << "}\n";
     for (ExecId id = 0; id < entries_.size(); ++id) {
         const Entry &e = entries_[id];
-        if (e.count == 0)
+        if (e.empty())
             continue;
         os << "  exec " << id << ":";
-        for (std::uint32_t i = 0; i < e.count; ++i) {
-            const Record &r = e.at(i);
+        for (const Record &r : e) {
             os << " [(" << r.hist[0] << "," << r.hist[1] << ","
                << r.hist[2] << ")->" << r.next << "]";
         }

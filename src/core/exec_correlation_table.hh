@@ -10,12 +10,10 @@
  * prediction is cheap.
  *
  * Storage is dense: ExecutionIdTable hands out dense IDs, so entries
- * live in an ExecId-indexed vector (no hashing), and each entry keeps
- * its hottest records in a fixed inline array — the MRU prefix that
- * record()'s dedupe and predict()'s scan touch in steady state —
- * with a heap overflow tail only for the cold minority of kernels
- * with many distinct histories. Steady-state record() (a duplicate
- * moving to MRU) and predict() never allocate.
+ * live in an ExecId-indexed vector (no hashing), and each entry is
+ * one MRU-first record vector. Steady-state record() (a duplicate
+ * rotated to the front) and predict() never allocate; only a history
+ * never seen before grows an entry.
  */
 
 #pragma once
@@ -47,9 +45,6 @@ class ExecCorrelationTable
         ExecId next;      ///< kernel observed to follow `cur`
     };
 
-    /** Records kept inline per entry (the hot MRU prefix). */
-    static constexpr std::uint32_t kInlineRecords = 4;
-
     /**
      * Record that @p next launched while @p cur was the current
      * kernel with preceding history @p hist. Duplicate records are
@@ -60,11 +55,11 @@ class ExecCorrelationTable
 
     /**
      * Predict the kernel that will follow @p cur given @p hist.
-     * Exact history match wins; optionally falls back to the MRU
-     * record. @return kNoExecId when no prediction is possible.
+     * Exact history match wins; without one, the most recently used
+     * record does. @return kNoExecId when @p cur has no record.
      */
-    DEEPUM_NOALLOC ExecId predict(ExecId cur, const ExecHistory &hist,
-                                  bool mru_fallback = true) const;
+    DEEPUM_NOALLOC ExecId predict(ExecId cur,
+                                  const ExecHistory &hist) const;
 
     /** Records stored under @p cur (for tests and stats). */
     std::size_t recordCount(ExecId cur) const;
@@ -76,10 +71,9 @@ class ExecCorrelationTable
     std::uint64_t sizeBytes() const;
 
     /**
-     * Audit structure (sim/validate.hh): record counts agree with
-     * the inline/overflow split, the live-entry counter matches, and
-     * no (history, next) record is duplicated within an entry (the
-     * MRU-dedupe contract of record()).
+     * Audit structure (sim/validate.hh): the live-entry counter
+     * matches, and no (history, next) record is duplicated within an
+     * entry (the MRU-dedupe contract of record()).
      */
     void checkInvariants(sim::CheckContext &ctx) const;
 
@@ -88,29 +82,10 @@ class ExecCorrelationTable
 
   private:
     /**
-     * One execution ID's record list, MRU first: logical position i
-     * is inline_[i] for i < kInlineRecords, else
-     * overflow_[i - kInlineRecords]. An entry with count == 0 is
-     * absent (the ID was never recorded under).
+     * One execution ID's records, MRU first. An empty entry is absent
+     * (the ID was never recorded under).
      */
-    struct Entry {
-        std::uint32_t count = 0;
-        std::array<Record, kInlineRecords> inl{};
-        std::vector<Record> overflow;
-
-        const Record &
-        at(std::uint32_t i) const
-        {
-            return i < kInlineRecords ? inl[i]
-                                      : overflow[i - kInlineRecords];
-        }
-        Record &
-        at(std::uint32_t i)
-        {
-            return i < kInlineRecords ? inl[i]
-                                      : overflow[i - kInlineRecords];
-        }
-    };
+    using Entry = std::vector<Record>;
 
     /** Grow the dense entry table to cover @p cur. */
     DEEPUM_ALLOC_OK("entry table grows with the ExecId space")
@@ -121,16 +96,8 @@ class ExecCorrelationTable
             entries_.resize(std::size_t(cur) + 1);
     }
 
-    /** Add one overflow slot to @p e (cold: unseen history). */
-    DEEPUM_ALLOC_OK("overflow tail only grows on a never-seen history")
-    static void
-    growOverflow(Entry &e)
-    {
-        e.overflow.emplace_back();
-    }
-
     std::vector<Entry> entries_;    ///< indexed by ExecId
-    std::size_t liveEntries_ = 0;   ///< entries with count > 0
+    std::size_t liveEntries_ = 0;   ///< non-empty entries
 };
 
 } // namespace deepum::core

@@ -22,8 +22,6 @@ Prefetcher::Prefetcher(uvm::Driver &drv, ExecCorrelationTable &exec_table,
       // The window never exceeds lookaheadN + 2 slots (the audited
       // bound below), so the ring is sized once and never grows.
       slotBuf_(std::size_t(cfg.lookaheadN) + 2),
-      plansOn_(cfg.table.numSuccs <=
-               std::numeric_limits<std::uint8_t>::max()),
       chainsStarted_(stats, "prefetcher.chainsStarted",
                      "chain (re)starts triggered by fault batches"),
       chainTransitions_(stats, "prefetcher.chainTransitions",
@@ -46,7 +44,7 @@ Prefetcher::Prefetcher(uvm::Driver &drv, ExecCorrelationTable &exec_table,
       walksReplayed_(stats, "prefetcher.walksReplayed",
                      "transition walks replayed from a walk plan"),
       tableVisits_(stats, "prefetcher.tableVisits",
-                   "block-table set probes by the live walk"),
+                   "block-table set probes by walk traversals"),
       protectListings_(stats, "prefetcher.protectListings",
                        "blocks appended to a slot's protection list"),
       mispredictedLaunches_(stats, "prefetcher.mispredictedLaunches",
@@ -115,8 +113,7 @@ Prefetcher::popFrontSlot()
         // The chain was still working on the kernel that just ended.
         active_ = false;
         paused_ = false;
-        clearWalk();
-        ++seenGen_;
+        walk_.restart();
     } else {
         --chainDepth_;
     }
@@ -132,8 +129,7 @@ Prefetcher::clearAllSlots()
     active_ = false;
     paused_ = false;
     chainDepth_ = 0;
-    clearWalk();
-    ++seenGen_;
+    walk_.restart();
 }
 
 void
@@ -153,26 +149,6 @@ Prefetcher::onRangeUnregistered(mem::BlockId, mem::BlockId)
             return true;
         });
     }
-}
-
-void
-Prefetcher::enqueue(std::size_t slot, mem::BlockId b, uvm::BlockIndex i)
-{
-    drv_.enqueuePrefetch(b, i, slotAt(slot).exec,
-                         static_cast<std::uint32_t>(slot));
-    ++blocksIssued_;
-    if (budget_ > 0)
-        --budget_;
-}
-
-void
-Prefetcher::issue(std::size_t slot, mem::BlockId b, uvm::BlockIndex i)
-{
-    protect(ringPos(slot), i);
-    enqueue(slot, b, i);
-    support::pushAmortized(walk_, b);
-    if (recExec_ != kNoExecId)
-        support::pushAmortized(plans_[recExec_].steps, PlanStep{i});
 }
 
 void
@@ -248,45 +224,125 @@ Prefetcher::onFaultBlocks(const std::vector<mem::BlockId> &blocks)
         pushSlot(cur);
     slotAt(0).exec = cur;
 
-    recExec_ = kNoExecId;
-    clearWalk();
-    ++seenGen_;
+    walk_.restart();
+    uncached_.steps.clear();
+    uncached_.succs.clear();
     for (mem::BlockId b : blocks) {
         uvm::BlockIndex i = drv_.store().find(b);
-        if (!markSeen(i))
+        if (!walk_.markSeen(i))
             continue;
         // The faulted blocks are demand-migrating; protect them for
         // the current kernel and walk their successors.
         protect(ringPos(0), i);
-        support::pushAmortized(walk_, b);
+        offer(walk_, uncached_, b, i, BlockCorrelationTable::kNoWay);
     }
-    enterKernelTable(0);
+    BlockCorrelationTable &bt = *blockTables_.find(cur);
+    const std::size_t seeds = uncached_.steps.size();
+    traverseEntry(bt, false, seeds + budget_, walk_, uncached_);
+    tableVisits_ += traverseVisits(bt, seeds + budget_, walk_, uncached_);
+    execute(uncached_, bt, static_cast<std::uint32_t>(seeds));
     runChain();
 }
 
 void
-Prefetcher::enterKernelTable(std::size_t slot)
+Prefetcher::offer(Walk &w, WalkPlan &plan, mem::BlockId b,
+                  uvm::BlockIndex i, std::uint32_t way)
 {
-    if (!cfg_.freshTagChaining)
-        return; // ablation: start-component chaining only
-    BlockCorrelationTable *bt = blockTables_.find(slotAt(slot).exec);
-    if (bt == nullptr)
-        return;
+    support::pushAmortized(w.queue, b);
+    support::pushAmortized(plan.steps, PlanStep{i, way});
+}
+
+void
+Prefetcher::traverseEntry(const BlockCorrelationTable &bt, bool start,
+                          std::size_t cut, Walk &w, WalkPlan &plan) const
+{
+    const uvm::BlockStore &st = drv_.store();
+    if (start) {
+        const uvm::BlockIndex i = st.find(bt.start());
+        w.markSeen(i);
+        offer(w, plan, bt.start(), i, BlockCorrelationTable::kNoWay);
+    }
+    plan.sweep = static_cast<std::uint32_t>(plan.steps.size());
     // Issue every live entry of the kernel's table, not only the
     // start component: blocks covered by prefetching stop faulting
     // and would otherwise fall out of the chain (see freshWays()).
-    // issue() never touches the block tables, so the swept ways keep
-    // their tags through the loop.
-    bt->freshWays(cfg_.freshEpochWindow, freshScratch_);
-    for (std::uint32_t way : freshScratch_) {
-        mem::BlockId t = bt->tagAt(way);
-        uvm::BlockIndex i = drv_.store().find(t);
-        if (!markSeen(i))
-            continue;
-        bt->refreshWay(way);
-        issue(slot, t, i);
+    // The ablation chains from the start component only.
+    if (cfg_.freshTagChaining) {
+        bt.freshWays(kFreshEpochWindow, w.fresh);
+        for (std::uint32_t way : w.fresh) {
+            const mem::BlockId t = bt.tagAt(way);
+            const uvm::BlockIndex i = st.find(t);
+            if (!w.markSeen(i))
+                continue;
+            offer(w, plan, t, i, way);
+            if (plan.steps.size() >= cut)
+                break;
+        }
+    }
+    plan.entry = static_cast<std::uint32_t>(plan.steps.size());
+}
+
+std::size_t
+Prefetcher::traverseVisits(const BlockCorrelationTable &bt,
+                           std::size_t cut, Walk &w,
+                           WalkPlan &plan) const
+{
+    DEEPUM_ASSERT(plan.steps.size() == w.queue.size(),
+                  "walk plan out of step with its queue");
+    const uvm::BlockStore &st = drv_.store();
+    std::size_t visits = 0;
+    for (; w.head < w.queue.size() && plan.steps.size() < cut; ++visits) {
+        const std::size_t k = w.head++;
+        const std::uint32_t way = bt.wayOf(w.queue[k]);
+        plan.steps[k].way = way;
+        const std::size_t queued = plan.steps.size();
+        if (way != BlockCorrelationTable::kNoWay) {
+            for (mem::BlockId s : bt.successorsAt(way)) {
+                const uvm::BlockIndex i = st.find(s);
+                if (w.markSeen(i))
+                    offer(w, plan, s, i, BlockCorrelationTable::kNoWay);
+            }
+        }
+        support::pushAmortized(plan.succs, static_cast<std::uint8_t>(
+                                               plan.steps.size() - queued));
+    }
+    return visits;
+}
+
+void
+Prefetcher::execute(const WalkPlan &plan, BlockCorrelationTable &bt,
+                    std::uint32_t next)
+{
+    const std::size_t slot = chainDepth_;
+    const std::size_t pos = ringPos(slot);
+    auto issueNext = [&] {
+        const uvm::BlockIndex i = plan.steps[next++].idx;
+        protect(pos, i);
+        const mem::BlockId b =
+            i == uvm::kNoBlockIndex ? uvm::kNoBlock : drv_.store().idAt(i);
+        drv_.enqueuePrefetch(b, i, slotAt(slot).exec,
+                             static_cast<std::uint32_t>(slot));
+        ++blocksIssued_;
+        if (budget_ > 0)
+            --budget_;
+    };
+    while (next < plan.sweep)
+        issueNext();
+    while (next < plan.entry) {
+        bt.refreshWay(plan.steps[next].way);
+        issueNext();
         if (budget_ == 0)
             return;
+    }
+    for (std::size_t v = 0; v < plan.succs.size() && budget_ != 0; ++v) {
+        const std::uint32_t way = plan.steps[v].way;
+        if (way == BlockCorrelationTable::kNoWay)
+            continue;
+        // A visited entry is live: the refresh keeps it in the fresh
+        // window even when prefetching keeps it from faulting again.
+        bt.refreshWay(way);
+        for (std::uint8_t n = plan.succs[v]; n != 0; --n)
+            issueNext();
     }
 }
 
@@ -315,136 +371,56 @@ Prefetcher::tracePredictNext(ExecId next) const
 void
 Prefetcher::onKernelEnd()
 {
-    if (active_ && paused_) {
-        paused_ = false;
-        growScratch();
-        runChain();
-    }
-}
-
-void
-Prefetcher::runChain()
-{
-    while (active_ && !paused_) {
-        if (budget_ == 0) {
-            // A dead chain keeps no queue (as after a cut replay),
-            // and a cut walk is not a plan.
-            active_ = false;
-            clearWalk();
-            recExec_ = kNoExecId;
-            return;
-        }
-        if (walkHead_ == walk_.size()) {
-            // Correlations for this kernel are exhausted. Everything
-            // known is enqueued, so move on to the predicted next
-            // kernel rather than killing the chain.
-            commitRecording();
-            ++chainExhaustedTransitions_;
-            if (!transitionChain())
-                return;
-            continue;
-        }
-        mem::BlockId p = walk_[walkHead_++];
-
+    if (!active_ || !paused_)
+        return;
+    paused_ = false;
+    growScratch();
+    if (budget_ != 0 && walk_.head < walk_.queue.size()) {
+        // The paused walk's visits, against its table as it is now.
         BlockCorrelationTable *bt = blockTables_.find(predCur_);
         if (bt == nullptr) {
             active_ = false;
             ++chainDeadNoTable_;
             return;
         }
-        // A visited entry is live: the refresh keeps it in the fresh
-        // window even when prefetching keeps it from ever faulting
-        // again. The view aliases the table's successor slab.
-        // issue() only pushes into the driver's queue, the protection
-        // lists and the walk — it never touches the block tables — so
-        // iterating the slab in place is safe; no defensive copy.
-        const std::uint32_t way = bt->wayOf(p);
-        ++tableVisits_;
-        const std::size_t queued = walk_.size();
-        if (way != BlockCorrelationTable::kNoWay) {
-            bt->refreshWay(way);
-            for (mem::BlockId s : bt->successorsAt(way)) {
-                uvm::BlockIndex i = drv_.store().find(s);
-                if (markSeen(i))
-                    issue(chainDepth_, s, i);
-            }
+        const std::uint32_t entry = uncached_.entry;
+        tableVisits_ += traverseVisits(*bt, entry + budget_, walk_, uncached_);
+        execute(uncached_, *bt, entry);
+    }
+    runChain();
+}
+
+void
+Prefetcher::runChain()
+{
+    // The current kernel's walk has drained its queue, unless the
+    // budget cut it.
+    while (active_ && !paused_) {
+        if (budget_ == 0) {
+            // A dead chain keeps no queue.
+            active_ = false;
+            walk_.restart();
+            return;
         }
-        if (recExec_ != kNoExecId) {
-            WalkPlan &rec = plans_[recExec_];
-            rec.steps[walkHead_ - 1].way = way;
-            support::pushAmortized(
-                rec.succs, static_cast<std::uint8_t>(walk_.size() - queued));
-        }
+        ++chainExhaustedTransitions_;
+        transitionChain();
     }
 }
 
 void
-Prefetcher::commitRecording()
-{
-    if (recExec_ == kNoExecId)
-        return;
-    const BlockCorrelationTable *bt = blockTables_.find(recExec_);
-    // A walk that moved a way's lastEpoch may have changed the fresh
-    // set the next walk sweeps: only an unmoved version replays.
-    if (bt->version() == recVersion_) {
-        WalkPlan &plan = plans_[recExec_];
-        plan.version = recVersion_;
-        plan.layout = drv_.store().layoutVersion();
-        ++walksRecorded_;
-    }
-    recExec_ = kNoExecId;
-}
-
-void
-Prefetcher::replayPlan(const WalkPlan &plan, BlockCorrelationTable &bt)
-{
-    const std::size_t slot = chainDepth_;
-    const std::size_t pos = ringPos(slot);
-    std::uint32_t next = 0; // the next candidate to issue
-    auto issueNext = [&] {
-        const uvm::BlockIndex i = plan.steps[next++].idx;
-        protect(pos, i);
-        enqueue(slot,
-                i == uvm::kNoBlockIndex ? uvm::kNoBlock
-                                        : drv_.store().idAt(i),
-                i);
-    };
-    // Kernel entry: the start block, then the fresh sweep, whose ways
-    // are the ones those candidates' visits hit.
-    issueNext();
-    while (next < plan.entry) {
-        bt.refreshWay(plan.steps[next].way);
-        issueNext();
-        if (budget_ == 0)
-            break;
-    }
-    // The breadth-first visits, each behind runChain's budget check.
-    for (std::size_t v = 0; v < plan.steps.size() && budget_ != 0; ++v) {
-        const std::uint32_t way = plan.steps[v].way;
-        if (way == BlockCorrelationTable::kNoWay)
-            continue;
-        bt.refreshWay(way);
-        for (std::uint8_t n = plan.succs[v]; n != 0; --n)
-            issueNext();
-    }
-    ++walksReplayed_;
-}
-
-bool
 Prefetcher::transitionChain()
 {
     for (;;) {
         ++chainTransitions_;
         if (budget_ == 0) {
             active_ = false;
-            return false;
+            return;
         }
-        ExecId next = execTable_.predict(predCur_, predHist_,
-                                         cfg_.execPredictMruFallback);
+        ExecId next = execTable_.predict(predCur_, predHist_);
         if (next == kNoExecId) {
             active_ = false;
             ++chainDeadNoPrediction_;
-            return false;
+            return;
         }
         predHist_ = ExecHistory{predHist_[1], predHist_[2], predCur_};
         predCur_ = next;
@@ -454,6 +430,8 @@ Prefetcher::transitionChain()
             pushSlot(kNoExecId);
         slotAt(chainDepth_).exec = next;
 
+        const bool pausing = chainDepth_ >= cfg_.lookaheadN;
+        walk_.restart();
         BlockCorrelationTable *bt = blockTables_.find(predCur_);
         if (bt == nullptr || bt->start() == uvm::kNoBlock) {
             // This kernel never faulted (its working set is always
@@ -462,96 +440,49 @@ Prefetcher::transitionChain()
             // chain could never cross cheap kernels like optimizer
             // steps.
             ++chainSkippedKernels_;
-            if (chainDepth_ >= cfg_.lookaheadN) {
+            if (pausing) {
                 paused_ = true;
                 ++chainPauses_;
-                clearWalk();
-                ++seenGen_;
-                return true;
+                return;
             }
             continue;
         }
 
-        const bool pausing = chainDepth_ >= cfg_.lookaheadN;
+        // A degenerate single-fault kernel has no visits to make. A
+        // walk that runs to exhaustion here is cached.
         const bool single_block =
             bt->start() == bt->end() && bt->end() != uvm::kNoBlock;
-        // A walk that runs to exhaustion here is plannable.
-        const bool planned = plansOn_ && !pausing && !single_block;
-        clearWalk();
-        ++seenGen_;
-        if (planned) {
-            WalkPlan &plan = planFor(predCur_);
-            if (planLive(plan, *bt)) {
-                // runChain finds the walk queue empty: its budget
-                // check, then the next transition, as after a live
-                // walk.
-                replayPlan(plan, *bt);
-                return true;
-            }
-            // Record over the stale plan in place; version 0 keeps
-            // it from replaying until the walk commits.
-            plan.version = 0;
-            plan.steps.clear();
-            plan.succs.clear();
-            recExec_ = predCur_;
-            recVersion_ = bt->version();
+        const bool exhausts = !pausing && !single_block;
+        const bool cached = exhausts && cachePlans_;
+        WalkPlan &plan = cached ? planFor(predCur_) : uncached_;
+        if (cached && planLive(plan, *bt)) {
+            execute(plan, *bt, 0);
+            ++walksReplayed_;
+            return;
         }
-        uvm::BlockIndex start = drv_.store().find(bt->start());
-        markSeen(start);
-        issue(chainDepth_, bt->start(), start);
-        enterKernelTable(chainDepth_);
-        if (recExec_ != kNoExecId)
-            plans_[recExec_].entry = static_cast<std::uint32_t>(walk_.size());
-
+        plan.version = bt->version();
+        plan.layout = drv_.store().layoutVersion();
+        plan.steps.clear();
+        plan.succs.clear();
+        traverseEntry(*bt, true, budget_, walk_, plan);
+        if (exhausts)
+            tableVisits_ += traverseVisits(*bt, budget_, walk_, plan);
+        execute(plan, *bt, 0);
         if (pausing) {
+            // onKernelEnd traverses the visits.
             paused_ = true;
             ++chainPauses_;
-            return true;
+            return;
         }
-        if (!single_block)
-            return true;
-        // Degenerate single-fault kernel: keep transitioning.
-    }
-}
-
-void
-Prefetcher::dryWalk(const BlockCorrelationTable &bt, WalkPlan &out) const
-{
-    // transitionChain + enterKernelTable + runChain without a budget,
-    // ticks, issues or the shared dedupe.
-    const uvm::BlockStore &st = drv_.store();
-    std::vector<bool> seen(st.slabSize(), false);
-    std::vector<mem::BlockId> queue;
-    out.steps.clear();
-    out.succs.clear();
-    auto offer = [&](mem::BlockId b, bool always) {
-        const uvm::BlockIndex i = st.find(b);
-        if (i != uvm::kNoBlockIndex) {
-            if (seen[i] && !always)
-                return std::size_t{0};
-            seen[i] = true;
-        }
-        out.steps.push_back(PlanStep{i});
-        queue.push_back(b);
-        return std::size_t{1};
-    };
-    offer(bt.start(), true);
-    if (cfg_.freshTagChaining) {
-        std::vector<std::uint32_t> ways;
-        bt.freshWays(cfg_.freshEpochWindow, ways);
-        for (std::uint32_t way : ways)
-            offer(bt.tagAt(way), false);
-    }
-    out.entry = static_cast<std::uint32_t>(out.steps.size());
-    for (std::size_t k = 0; k < queue.size(); ++k) {
-        const std::uint32_t way = bt.wayOf(queue[k]);
-        out.steps[k].way = way;
-        std::size_t n = 0;
-        if (way != BlockCorrelationTable::kNoWay) {
-            for (mem::BlockId s : bt.successorsAt(way))
-                n += offer(s, false);
-        }
-        out.succs.push_back(static_cast<std::uint8_t>(n));
+        if (single_block)
+            continue;
+        // A cut walk is not a plan; one whose refreshes moved a way's
+        // lastEpoch is stale already.
+        if (budget_ == 0)
+            plan.version = 0;
+        else if (cached && planLive(plan, *bt))
+            ++walksRecorded_;
+        return;
     }
 }
 
@@ -618,30 +549,38 @@ Prefetcher::checkInvariants(sim::CheckContext &ctx) const
     ctx.require(chainDepth_ == 0 || chainDepth_ < slotCount_,
                 "chain cursor %u outside the %zu-slot window",
                 chainDepth_, slotCount_);
-    ctx.require(walkHead_ <= walk_.size(),
+    ctx.require(walk_.head <= walk_.queue.size(),
                 "walk cursor %zu beyond the %zu-entry queue",
-                walkHead_, walk_.size());
+                walk_.head, walk_.queue.size());
     // Replayable plans must be the walk their table yields now.
-    WalkPlan dry;
+    Walk w;
+    w.seen.resize(st.slabSize(), 0);
+    WalkPlan fresh;
+    constexpr std::size_t kNoCut = std::numeric_limits<std::size_t>::max();
     for (ExecId id = 0; id < plans_.size(); ++id) {
         const WalkPlan &plan = plans_[id];
         const BlockCorrelationTable *bt = blockTables_.find(id);
         if (bt == nullptr || !planLive(plan, *bt))
             continue;
-        dryWalk(*bt, dry);
+        w.restart();
+        fresh.steps.clear();
+        fresh.succs.clear();
+        traverseEntry(*bt, true, kNoCut, w, fresh);
+        traverseVisits(*bt, kNoCut, w, fresh);
         const bool same =
-            plan.entry == dry.entry && plan.succs == dry.succs &&
-            plan.steps.size() == dry.steps.size() &&
+            plan.sweep == fresh.sweep && plan.entry == fresh.entry &&
+            plan.succs == fresh.succs &&
+            plan.steps.size() == fresh.steps.size() &&
             std::equal(plan.steps.begin(), plan.steps.end(),
-                       dry.steps.begin(),
+                       fresh.steps.begin(),
                        [](const PlanStep &a, const PlanStep &b) {
                            return a.idx == b.idx && a.way == b.way;
                        });
         ctx.require(same,
                     "exec %u walk plan (%zu candidates, entry %u) is "
                     "not its table's walk (%zu candidates, entry %u)",
-                    id, plan.steps.size(), plan.entry, dry.steps.size(),
-                    dry.entry);
+                    id, plan.steps.size(), plan.entry, fresh.steps.size(),
+                    fresh.entry);
     }
     std::size_t pending = 0;
     for (ExecId id = 0; id < pendingDone_.size(); ++id)
@@ -660,7 +599,7 @@ Prefetcher::dumpState(std::ostream &os) const
        << " chainDepth=" << chainDepth_ << " predCur=" << predCur_
        << " budget=" << budget_ << " slots=" << slotCount_
        << " protected=" << protectedDistinct_
-       << " walk=" << walk_.size() - walkHead_ << "}\n";
+       << " walk=" << walk_.queue.size() - walk_.head << "}\n";
     for (std::size_t i = 0; i < slotCount_; ++i) {
         const Slot &s = slotAt(i);
         os << "  slot " << i << ": exec=" << s.exec << " blocks=[";

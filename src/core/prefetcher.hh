@@ -13,55 +13,61 @@
  * finishes; it dies when the next kernel cannot be predicted, and is
  * restarted by the next fault.
  *
+ * Each kernel's part of the walk runs in two steps. A *traversal*
+ * reads the table (start block, fresh-way sweep, tags, successor
+ * lists) and the store's id -> slab-slot map, and writes a WalkPlan:
+ * per candidate in issue order, its slab index and the way its visit
+ * hit, and per visit how many successors it issued. It keeps its own
+ * breadth-first queue and epoch-stamped seen-set (a generation bump
+ * is the O(1) clear) and changes nothing else. The *executor* then
+ * runs the plan: protect, driver enqueue and budget charge per
+ * candidate, refreshWay() per swept or visited way, and the budget
+ * checks, at the positions the interleaved walk had them. Nothing
+ * the executor does changes what a traversal reads (protection and
+ * the driver queue touch no table, and a kernel's fresh set is read
+ * at its entry, before any refresh), so traversing first issues what
+ * an interleaved walk would, in the same order. A traversal stops
+ * where the budget will stop the executor, so it spends no probe
+ * past the cut.
+ *
+ * A transition walk (the chain entering a predicted kernel's table
+ * with a fresh seen-set) is a function of that table's walk-visible
+ * state (BlockCorrelationTable::version()) and the store's layout
+ * (BlockStore::layoutVersion()). So it traverses into a per-table
+ * plan, tagged with both versions, and the next transition into an
+ * unchanged table executes that plan again without traversing. A
+ * plan cut by the budget is not kept, and one whose execution moved a
+ * way's lastEpoch is stale by its version. Restart walks (from
+ * faulted blocks), single-block kernels and the walk that pauses at
+ * depth N traverse into one uncached plan; a paused walk appends its
+ * visits to it when the running kernel ends, against the table as it
+ * is then.
+ *
  * The prefetcher also maintains the *protected set* — blocks
  * predicted to be used by the current and next N kernels — which the
- * DeepUM eviction policy honours (Section 5.1). Both the walk
- * dedupe and the protection state are dense arrays keyed by the
- * driver's BlockStore slab indices: the dedupe is epoch-stamped (a
- * generation bump is the O(1) per-activation clear). Protection is
- * one 64-bit mask per slab index: bit pos is set exactly when the
- * window slot at ring position pos lists that block (the ring holds
- * N + 2 <= 64 slots). So a chain restart that re-issues what a slot
+ * DeepUM eviction policy honours (Section 5.1). Protection is one
+ * 64-bit mask per slab index: bit pos is set exactly when the window
+ * slot at ring position pos lists that block (the ring holds N + 2
+ * <= 64 slots). So a chain restart that re-issues what a slot
  * already lists pushes nothing (one bit test), a mask going 0<->non-0
  * sets and clears the block's hold bit in the store — all the
  * eviction policy reads — and popping a slot clears its bit in each
  * block it lists, which leaves the recycled ring position blank. A
  * freed range's listings are dropped when it is unregistered, so a
- * list never names a dead slab index. Each walked block is resolved
- * to its slab index once, and that index feeds the dedupe, the
- * protection mask and the driver's prefetch enqueue.
- *
- * A transition walk — the chain entering a predicted kernel's table
- * with a fresh seen-set — is a function of that table's walk-visible
- * state (BlockCorrelationTable::version()) and the store's layout
- * (BlockStore::layoutVersion()); the budget, the protection lists
- * and the driver's queue only consume what it issues. So the live
- * walk records each such walk into a per-table plan: per candidate,
- * its slab index, the way its visit hit and how many successors that
- * visit issued (9 bytes). The next transition into the table replays
- * the plan when both versions still match: the same issues and
- * budget checks at the same positions and the same refreshWay()
- * ticks in the same order, without the set probes, the store lookups
- * or the dedupe; protect() runs for every candidate, and on what the
- * slot already lists it is that one bit test. Restart walks (from
- * faulted blocks, into the kernel being recorded), single-block
- * kernels and the walk that pauses at depth N stay live and
- * unplanned. A plan commits only if the recording walk moved no
- * version, so the state it replays from is the state it recorded.
+ * list never names a dead slab index.
  *
  * The steady-state chain walk is allocation-free: the prediction
  * window is a fixed ring of slots whose protection lists keep their
- * capacity across reuse, the walk queue is a reused vector consumed
- * by index, successorsAt() returns a view into the table's inline
- * slab, walk plans keep their capacity across re-records, the
- * fresh-way sweep fills a reused scratch vector with way indices
- * that are refreshed in place (no second set probe), and the pending
- * completion ticks live in an ExecId-indexed dense table whose
- * per-exec vectors are drained with clear() (capacity retained).
- * That contract is machine-checked: the fault/chain entry points are
- * DEEPUM_NOALLOC and tools/analyzer/ proves their call graphs reach
- * allocation only through the documented DEEPUM_ALLOC_OK hatches
- * (scratch/table growth, amortized vector growth, opt-in tracing).
+ * capacity across reuse, the traversal's queue, seen-set and sweep
+ * scratch are reused, plans keep their capacity across re-traversals,
+ * successorsAt() returns a view into the table's inline slab, and the
+ * pending completion ticks live in an ExecId-indexed dense table
+ * whose per-exec vectors are drained with clear() (capacity
+ * retained). That contract is machine-checked: the fault/chain entry
+ * points are DEEPUM_NOALLOC and tools/analyzer/ proves their call
+ * graphs reach allocation only through the documented
+ * DEEPUM_ALLOC_OK hatches (scratch/table growth, amortized vector
+ * growth, opt-in tracing).
  */
 
 #pragma once
@@ -143,7 +149,7 @@ class Prefetcher
      * must respect the lookahead bound, the chain cursor must point
      * into the window, and the pending completion table's non-empty
      * counter must match its slots. Every replayable plan must equal
-     * a side-effect-free dry walk of its table.
+     * a fresh traversal of its table.
      */
     void checkInvariants(sim::CheckContext &ctx) const;
 
@@ -168,19 +174,63 @@ class Prefetcher
     };
 
     /**
-     * A recorded transition walk of one kernel's table (see the file
-     * comment). Candidates [0, entry) are issued on kernel entry (the
-     * start block, then the fresh sweep), the rest by the breadth-
-     * first visits: visiting candidate k issues the next succs[k].
-     * A walk records into its table's plan in place, so the vectors
-     * keep their capacity across re-records.
+     * One kernel's walk (see the file comment). Step k is the block
+     * at position k of the traversal's queue; visiting step v issues
+     * the next succs[v] steps. Steps before `sweep` are not swept: a
+     * transition's start block, or a restart's faulted blocks (queued
+     * for their visits, never issued). Steps [sweep, entry) are the
+     * fresh sweep's, each issued after a refresh of its way.
      */
     struct WalkPlan {
         std::uint64_t version = 0; ///< table version; 0 = no plan
-        std::uint64_t layout = 0;  ///< store layout at record time
+        std::uint64_t layout = 0;  ///< store layout at traversal
+        std::uint32_t sweep = 0;
         std::uint32_t entry = 0;
         std::vector<PlanStep> steps;
         std::vector<std::uint8_t> succs;
+    };
+
+    /**
+     * A traversal's own state: the breadth-first queue, consumed by
+     * head, and the seen-set, epoch-stamped by slab index. The
+     * prefetcher keeps one across activations (a paused walk resumes
+     * from it); the audit builds its own.
+     */
+    struct Walk {
+        std::vector<mem::BlockId> queue;
+        std::size_t head = 0;
+        std::vector<std::uint64_t> seen;
+        std::uint64_t gen = 1;
+        /** Scratch for the fresh-way sweep. */
+        std::vector<std::uint32_t> fresh;
+
+        /** Start a new walk (keeps every capacity). */
+        void
+        restart()
+        {
+            queue.clear();
+            head = 0;
+            ++gen;
+        }
+
+        /**
+         * Mark slab slot @p i seen; @return true on first sight.
+         * Unknown blocks (kNoBlockIndex) are always new (the driver
+         * drops their enqueues).
+         */
+        DEEPUM_NOALLOC bool
+        markSeen(uvm::BlockIndex i)
+        {
+            if (i == uvm::kNoBlockIndex)
+                return true;
+            if constexpr (sim::kValidateBuild)
+                DEEPUM_ASSERT(i < seen.size(),
+                              "slab slot %u registered mid-chain", i);
+            if (seen[i] == gen)
+                return false;
+            seen[i] = gen;
+            return true;
+        }
     };
 
     /** Ring position of window slot @p i. */
@@ -210,36 +260,8 @@ class Prefetcher
         std::size_t n = drv_.store().slabSize();
         if (protMask_.size() < n) {
             protMask_.resize(n, 0);
-            seenEpoch_.resize(n, 0);
+            walk_.seen.resize(n, 0);
         }
-    }
-
-    /**
-     * Mark slab slot @p i visited in this activation; @return true on
-     * first visit. Unknown blocks (kNoBlockIndex) count as first
-     * visits (the driver drops their enqueues; matches the former
-     * hash-set semantics).
-     */
-    DEEPUM_NOALLOC bool
-    markSeen(uvm::BlockIndex i)
-    {
-        if (i == uvm::kNoBlockIndex)
-            return true;
-        if constexpr (sim::kValidateBuild)
-            DEEPUM_ASSERT(i < seenEpoch_.size(),
-                          "slab slot %u registered mid-chain", i);
-        if (seenEpoch_[i] == seenGen_)
-            return false;
-        seenEpoch_[i] = seenGen_;
-        return true;
-    }
-
-    /** Reset the walk queue (keeps vector capacity). */
-    DEEPUM_NOALLOC void
-    clearWalk()
-    {
-        walk_.clear();
-        walkHead_ = 0;
     }
 
     /** Grow the plan table to cover @p exec_id. */
@@ -252,7 +274,7 @@ class Prefetcher
         return plans_[exec_id];
     }
 
-    /** True if @p plan replays @p bt's current walk. */
+    /** True if @p plan is @p bt's current walk. */
     bool
     planLive(const WalkPlan &plan, const BlockCorrelationTable &bt) const
     {
@@ -276,8 +298,8 @@ class Prefetcher
      * Add slab slot @p i to the protection list of the window slot at
      * ring position @p pos unless that slot already lists it (a
      * restarted chain re-issues what its slots hold) or the block is
-     * unknown (nothing to hold). Inline: on replays the test is most
-     * of the per-candidate work.
+     * unknown (nothing to hold). Inline: on cached plans the test is
+     * most of the per-candidate work.
      */
     DEEPUM_NOALLOC void
     protect(std::size_t pos, uvm::BlockIndex i)
@@ -295,47 +317,51 @@ class Prefetcher
     /** Drop every slot and kill the chain. */
     DEEPUM_NOALLOC void clearAllSlots();
 
-    /** Hand @p b (slab slot @p i) to the driver for @p slot and
-     * charge the budget. */
-    DEEPUM_NOALLOC void enqueue(std::size_t slot, mem::BlockId b,
-                                uvm::BlockIndex i);
+    /** Queue block @p b (slab slot @p i) as @p plan's next step. */
+    DEEPUM_NOALLOC static void offer(Walk &w, WalkPlan &plan,
+                                     mem::BlockId b, uvm::BlockIndex i,
+                                     std::uint32_t way);
 
     /**
-     * The live walk's candidate step: protect and enqueue @p b (slab
-     * slot @p i) for @p slot, queue it for a visit, and append it to
-     * the recording, if one is running.
+     * Traverse the entry of @p bt's walk into @p plan: its start block
+     * when @p start, then the fresh sweep, which stops once @p plan
+     * holds @p cut steps (where the budget runs out).
      */
-    DEEPUM_NOALLOC void issue(std::size_t slot, mem::BlockId b,
-                              uvm::BlockIndex i);
+    DEEPUM_NOALLOC void traverseEntry(const BlockCorrelationTable &bt,
+                                      bool start, std::size_t cut,
+                                      Walk &w, WalkPlan &plan) const;
 
-    /** Issue all live entries of @p slot's kernel table. */
-    DEEPUM_NOALLOC void enterKernelTable(std::size_t slot);
+    /**
+     * Traverse @p w's queued visits of @p bt into @p plan until the
+     * queue drains or a visit would start with @p cut steps in the
+     * plan. @return the visits made (table probes).
+     */
+    DEEPUM_NOALLOC std::size_t traverseVisits(const BlockCorrelationTable &bt,
+                                              std::size_t cut, Walk &w,
+                                              WalkPlan &plan) const;
 
-    /** Walk successors until pause/death/budget-exhaustion. */
+    /**
+     * Execute @p plan for the chain's current slot from step @p next
+     * on: issue (protect, enqueue, charge the budget) the steps
+     * before its sweep, refresh each swept way before issuing its
+     * tag, then run its visits (refresh the way, issue the successors
+     * it found), with the budget checks where the interleaved walk
+     * had them: after each swept candidate and before each visit.
+     */
+    DEEPUM_NOALLOC void execute(const WalkPlan &plan,
+                                BlockCorrelationTable &bt,
+                                std::uint32_t next);
+
+    /** Transition until the chain pauses or dies, or the budget
+     * runs out. */
     DEEPUM_NOALLOC void runChain();
 
-    /** The recording walk is exhausted: keep it as its table's plan
-     * if the walk moved no version. */
-    DEEPUM_NOALLOC void commitRecording();
-
     /**
-     * Replay @p plan into the chain's current slot: the live walk's
-     * issues, ticks on @p bt and budget checks, stopping where it
-     * would stop.
+     * The chain's current kernel is walked: predict the next kernel
+     * and walk its table, executing its cached plan when one is live.
+     * Sets active_ false if the chain dies, paused_ if it pauses.
      */
-    DEEPUM_NOALLOC void replayPlan(const WalkPlan &plan,
-                                   BlockCorrelationTable &bt);
-
-    /** The walk a transition into @p bt would record, computed
-     * without side effects (the plan audit). */
-    void dryWalk(const BlockCorrelationTable &bt, WalkPlan &out) const;
-
-    /**
-     * The kernel's walk is exhausted: predict the next kernel and
-     * move the chain to its start block, replaying its table's plan
-     * when one is live. @return false if the chain dies.
-     */
-    DEEPUM_NOALLOC bool transitionChain();
+    DEEPUM_NOALLOC void transitionChain();
 
     /** Emit the chain-start trace marker (tracing is opt-in). */
     DEEPUM_ALLOC_OK("tracer args build strings; tracing is opt-in")
@@ -379,25 +405,17 @@ class Prefetcher
     ExecId predCur_ = kNoExecId;     ///< kernel being prefetched for
     ExecHistory predHist_{kNoExecId, kNoExecId, kNoExecId};
     std::uint32_t chainDepth_ = 0;   ///< window index being filled
-    /** Blocks whose successors to visit: a reused vector consumed by
-     * walkHead_ (FIFO without deque segment churn). */
-    std::vector<mem::BlockId> walk_;
-    std::size_t walkHead_ = 0;
-    /** Walk plans, indexed by ExecId (dense). */
-    std::vector<WalkPlan> plans_;
-    /** The table whose plan the walk is recording (kNoExecId: none)
-     * and its version when the walk began. */
-    ExecId recExec_ = kNoExecId;
-    std::uint64_t recVersion_ = 0;
-    /** Visit counts fit a PlanStep's byte only below 256 successors;
-     * wider tables walk live. */
-    bool plansOn_;
-    /** Scratch for the fresh-way sweep (reused across activations). */
-    std::vector<std::uint32_t> freshScratch_;
-    /** Epoch-stamped walk dedupe, keyed by slab index. */
-    std::vector<std::uint64_t> seenEpoch_;
-    std::uint64_t seenGen_ = 1;      ///< current walk generation
     std::uint32_t budget_ = 0;       ///< enqueue cap per activation
+    /** The chain's traversal state. */
+    Walk walk_;
+    /** Cached transition walks, indexed by ExecId (dense). */
+    std::vector<WalkPlan> plans_;
+    /** The walk no cache keeps: a restart, a single-block kernel's
+     * entry, or the walk paused at depth N. */
+    WalkPlan uncached_;
+    /** False only in the tests' uncached reference world: no
+     * transition walk is cached. */
+    bool cachePlans_ = true;
 
     sim::Scalar chainsStarted_;
     sim::Scalar chainTransitions_;

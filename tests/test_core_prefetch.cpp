@@ -31,8 +31,8 @@ namespace deepum::core {
 
 /** Test-only access to the prefetcher's walk plans and masks. */
 struct PrefetcherTestAccess {
-    /** Walk every transition live, as if no plan could exist. */
-    static void disablePlans(Prefetcher &pf) { pf.plansOn_ = false; }
+    /** Traverse every transition walk: cache no plan. */
+    static void disablePlans(Prefetcher &pf) { pf.cachePlans_ = false; }
 
     /** Point one candidate of a replayable plan at the wrong slab
      * slot. @return false if no plan is replayable. */
@@ -107,7 +107,7 @@ TEST(Correlator, RecordsExecSuccession)
         f.corr.onKernelLaunch(id);
     // After seeing 1->2->3 twice: entry 2's second record carries
     // history {2, 3, 1} (the three launches before the second 2).
-    EXPECT_EQ(f.exec.predict(2, ExecHistory{2, 3, 1}, false), 3u);
+    EXPECT_EQ(f.exec.predict(2, ExecHistory{2, 3, 1}), 3u);
 }
 
 TEST(Correlator, RecordsFaultPairsWithinKernel)
@@ -173,14 +173,15 @@ struct DeepUmWorld {
     gpu::TimingConfig cfg;
     gpu::FaultBuffer fb;
     gpu::PcieLink link{cfg};
-    mem::FramePool frames{kGpuBlocks * mem::kPagesPerBlock};
+    mem::FramePool frames;
     gpu::GpuEngine engine{eq, cfg, fb, stats};
     uvm::Driver drv{eq, cfg, fb, link, frames, stats};
     DeepUmConfig dcfg;
     std::unique_ptr<DeepUm> dum;
 
-    explicit DeepUmWorld(DeepUmConfig c = {})
-        : dcfg(c)
+    explicit DeepUmWorld(DeepUmConfig c = {},
+                         std::uint64_t gpu_blocks = kGpuBlocks)
+        : frames(gpu_blocks * mem::kPagesPerBlock), dcfg(c)
     {
         engine.setBackend(&drv);
         drv.setEngine(&engine);
@@ -555,8 +556,9 @@ struct PlanWorld : DeepUmWorld {
     ArrivalLog arrivals;
     mem::BlockId b0;
 
-    PlanWorld(const DeepUmConfig &c, bool plans)
-        : DeepUmWorld(c), b0(mem::blockOf(reg(kRunBlocks)))
+    PlanWorld(const DeepUmConfig &c, bool plans,
+              std::uint64_t gpu_blocks = kGpuBlocks)
+        : DeepUmWorld(c, gpu_blocks), b0(mem::blockOf(reg(kRunBlocks)))
     {
         if (!plans)
             PrefetcherTestAccess::disablePlans(dum->prefetcher());
@@ -640,8 +642,8 @@ struct PlanWorld : DeepUmWorld {
 };
 
 /**
- * Run @p script on a world that replays walk plans and on one that
- * walks every transition live, auditing the planned world at each
+ * Run @p script on a world that caches walk plans and on one that
+ * traverses every transition walk, auditing both worlds at each
  * snapshot; every snapshot must match.
  */
 struct PlanPair {
@@ -876,6 +878,61 @@ TEST(WalkPlan, PausedWalkResumesLiveAfterATableMutation)
         EXPECT_TRUE(p.planned.dum->prefetcher().chainActive());
     }
     EXPECT_GT(p.planned.replayed(), 0u);
+}
+
+/** Prefetch arrivals from index @p from on, as offsets from kernel
+ * 0's base block: kernel k's walk covers [16k, 16k + 9). */
+std::vector<mem::BlockId>
+arrivalsSince(const PlanWorld &w, std::size_t from)
+{
+    std::vector<mem::BlockId> v;
+    for (std::size_t i = from; i < w.arrivals.blocks.size(); ++i)
+        v.push_back(w.arrivals.blocks[i] - w.b0);
+    return v;
+}
+
+TEST(WalkOrder, ArrivalsFollowTheBreadthFirstWalk)
+{
+    // A GPU that holds every block, so each issued block arrives, in
+    // issue order. Kernel k's hubs are 16k + {0, 1, 2}; the fresh
+    // sweep finds them in way order, which their ids' hash decides.
+    using V = std::vector<mem::BlockId>;
+    PlanWorld w(PlanPair::config(), true, PlanWorld::kRunBlocks);
+    w.dum->notifyKernelLaunch(0);
+    // A restart from hub 1: its sweep (2, 0), then the visits of the
+    // seed and the sweep in queue order. Kernel 1's walk issues its
+    // start, its sweep (18, 17) and the visits' leaves; kernel 2 is
+    // at depth N, so its walk issues the entry and pauses.
+    w.restart({w.base(0) + 1});
+    w.eq.run();
+    EXPECT_EQ(arrivalsSince(w, 0),
+              (V{2, 0, 6, 5, 8, 7, 4, 3, 16, 18, 17, 20, 19, 24, 23, 22,
+                 21, 32, 33, 34}));
+    ASSERT_EQ(w.dum->prefetcher().chainDepth(), 2u);
+    // Hub 34 gains leaf 41 while paused: the resumed visits read the
+    // table as it is now, then the walk into kernel 3 pauses again.
+    const std::size_t paused = w.arrivals.blocks.size();
+    w.table(2).record(w.base(2) + 2, w.base(2) + 9);
+    w.dum->prefetcher().onKernelEnd();
+    w.eq.run();
+    EXPECT_EQ(arrivalsSince(w, paused),
+              (V{36, 35, 38, 37, 41, 40, 39, 48, 49, 50}));
+
+    // A restart from all of kernel 0's blocks leaves the budget to
+    // kernel 1. Cap 2 runs out inside the entry sweep (17 is never
+    // issued); cap 4 runs out inside the start block's visit, which
+    // still issues its last leaf (19) before the chain dies.
+    for (const auto &[cap, want] :
+         {std::pair{2u, V{16, 18}}, std::pair{4u, V{16, 18, 17, 20, 19}}}) {
+        DeepUmConfig c = PlanPair::config();
+        c.chainEnqueueCap = cap;
+        PlanWorld v(c, true, PlanWorld::kRunBlocks);
+        v.dum->notifyKernelLaunch(0);
+        v.restart(v.walkOf(0));
+        v.eq.run();
+        EXPECT_EQ(arrivalsSince(v, 0), want) << "cap " << cap;
+        EXPECT_FALSE(v.dum->prefetcher().chainActive()) << "cap " << cap;
+    }
 }
 
 TEST(WalkPlanDeath, CorruptedPlanEntryIsCaught)

@@ -90,15 +90,15 @@ TEST(ExecCorrelationTable, DuplicateRecordMovesToMru)
     t.record(1, ExecHistory{0, 0, 0}, 10); // refresh
     EXPECT_EQ(t.recordCount(1), 2u);
     // MRU fallback for an unknown history picks the refreshed one.
-    EXPECT_EQ(t.predict(1, ExecHistory{5, 5, 5}, true), 10u);
+    EXPECT_EQ(t.predict(1, ExecHistory{5, 5, 5}), 10u);
 }
 
-TEST(ExecCorrelationTable, NoFallbackReturnsNoExec)
+TEST(ExecCorrelationTable, OnlyAnUnrecordedKernelReturnsNoExec)
 {
     ExecCorrelationTable t;
     t.record(1, ExecHistory{1, 1, 1}, 2);
-    EXPECT_EQ(t.predict(1, ExecHistory{9, 9, 9}, false), kNoExecId);
-    EXPECT_EQ(t.predict(99, ExecHistory{1, 1, 1}, true), kNoExecId);
+    EXPECT_EQ(t.predict(1, ExecHistory{9, 9, 9}), 2u);
+    EXPECT_EQ(t.predict(99, ExecHistory{1, 1, 1}), kNoExecId);
 }
 
 TEST(ExecCorrelationTable, SizeBytesGrowsWithRecords)

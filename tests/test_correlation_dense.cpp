@@ -568,7 +568,7 @@ struct RefExec {
     }
 
     ExecId
-    predict(ExecId cur, const ExecHistory &hist, bool mru) const
+    predict(ExecId cur, const ExecHistory &hist) const
     {
         auto it = recs.find(cur);
         if (it == recs.end() || it->second.empty())
@@ -576,15 +576,14 @@ struct RefExec {
         for (const auto &r : it->second)
             if (r.hist == hist)
                 return r.next;
-        return mru ? it->second.front().next : kNoExecId;
+        return it->second.front().next;
     }
 };
 
 TEST(CorrelationDense, ExecTableMatchesReferenceModel)
 {
-    // Few IDs and histories so entries routinely spill past the
-    // inline capacity and the MRU dedupe is hit across the
-    // inline/overflow boundary.
+    // Few IDs and histories so entries grow long and the MRU dedupe
+    // hits records deep in them.
     constexpr ExecId kIds = 6;
     ExecCorrelationTable t;
     RefExec m;
@@ -603,11 +602,10 @@ TEST(CorrelationDense, ExecTableMatchesReferenceModel)
         t.record(cur, h, next);
         m.record(cur, h, next);
 
-        // Probe both fallback modes with a random (often missing)
-        // history, plus the just-recorded one.
+        // Probe with a random (often missing, so MRU-fallback)
+        // history, or the just-recorded one.
         ExecHistory q = rng.below(2) ? h : randHist();
-        bool mru = rng.below(2) != 0;
-        ASSERT_EQ(t.predict(cur, q, mru), m.predict(cur, q, mru));
+        ASSERT_EQ(t.predict(cur, q), m.predict(cur, q));
         ASSERT_EQ(t.recordCount(cur), m.recs[cur].size());
         if (step % 129 == 0)
             auditExec(t);
@@ -625,7 +623,7 @@ TEST(CorrelationDense, ExecTableSteadyStateDoesNotAllocate)
     ExecId sink = 0;
     for (int i = 0; i < 20000; ++i) {
         t.record(0, h, 4); // duplicate: MRU move, no growth
-        sink ^= t.predict(0, h, true);
+        sink ^= t.predict(0, h);
     }
     EXPECT_EQ(w.count(), 0u) << "sink=" << sink;
 }
