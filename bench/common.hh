@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "baselines/runner.hh"
@@ -116,11 +115,12 @@ banner(const char *what)
 }
 
 /**
- * Parse the shared bench flags: `--jobs N` (N=0 means one job per
- * hardware thread). Default is 1 — single-threaded, byte-identical
- * to the historical serial output; any `--jobs` value produces the
- * same bytes anyway because cells are independent and results are
- * collected in grid order (see harness/parallel.hh).
+ * Parse the shared bench flags: `--jobs N` (harness::parseJobs: N in
+ * [0, harness::kMaxJobs], 0 means one job per hardware thread).
+ * Default is 1 — single-threaded, byte-identical to the historical
+ * serial output; any `--jobs` value produces the same bytes anyway
+ * because cells are independent and results are collected in grid
+ * order (see harness/parallel.hh). Anything else exits 2 with usage.
  */
 inline unsigned
 jobsFromArgs(int argc, char **argv)
@@ -132,14 +132,11 @@ jobsFromArgs(int argc, char **argv)
         if (a == "--jobs" && i + 1 < argc)
             val = argv[++i];
         else if (a.rfind("--jobs=", 0) == 0)
-            val = a.c_str() + 7;
-        if (val == nullptr) {
+            val = argv[i] + 7;
+        if (val == nullptr || !harness::parseJobs(argv[0], val, jobs)) {
             std::fprintf(stderr, "usage: %s [--jobs N]\n", argv[0]);
             std::exit(2);
         }
-        jobs = static_cast<unsigned>(std::strtoul(val, nullptr, 10));
-        if (jobs == 0)
-            jobs = std::max(1u, std::thread::hardware_concurrency());
     }
     return jobs;
 }

@@ -49,21 +49,14 @@ main(int argc, char **argv)
     std::string json_path;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        if (a == "--jobs" && i + 1 < argc) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-            if (jobs == 0)
-                jobs = std::max(
-                    1u, std::thread::hardware_concurrency());
-        } else if (a.rfind("--jobs=", 0) == 0) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(a.c_str() + 7, nullptr, 10));
-            if (jobs == 0)
-                jobs = std::max(
-                    1u, std::thread::hardware_concurrency());
-        } else if (a == "--json" && i + 1 < argc) {
+        if (a == "--json" && i + 1 < argc) {
             json_path = argv[++i];
-        } else {
+            continue;
+        }
+        const char *val = a == "--jobs" && i + 1 < argc ? argv[++i]
+                          : a.rfind("--jobs=", 0) == 0  ? argv[i] + 7
+                                                        : nullptr;
+        if (val == nullptr || !harness::parseJobs(argv[0], val, jobs)) {
             std::fprintf(stderr,
                          "usage: %s [--jobs N] [--json file.json]\n",
                          argv[0]);

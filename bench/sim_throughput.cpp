@@ -18,12 +18,14 @@
  *   sim_throughput [--events N] [--grid] [--jobs N] [--out file.json]
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/common.hh"
@@ -136,7 +138,7 @@ main(int argc, char **argv)
 {
     std::uint64_t events = 20'000'000;
     bool grid = false;
-    unsigned jobs = 0; // 0 = one per hardware thread
+    unsigned jobs = harness::hardwareJobs();
     std::string out;
 
     for (int i = 1; i < argc; ++i) {
@@ -145,9 +147,10 @@ main(int argc, char **argv)
             events = std::strtoull(argv[++i], nullptr, 10);
         } else if (a == "--grid") {
             grid = true;
-        } else if (a == "--jobs" && i + 1 < argc) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+        } else if (a == "--jobs" && i + 1 < argc &&
+                   harness::parseJobs("sim_throughput", argv[i + 1],
+                                      jobs)) {
+            ++i;
         } else if (a == "--out" && i + 1 < argc) {
             out = argv[++i];
         } else {
@@ -157,9 +160,6 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (jobs == 0)
-        jobs = std::max(1u, std::thread::hardware_concurrency());
-
     const auto delays = makeDelays();
 
     banner("event-queue throughput");

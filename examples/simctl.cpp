@@ -23,7 +23,6 @@
  * each cell owns a private simulator, see harness/parallel.hh).
  */
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -32,7 +31,6 @@
 #include <iostream>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "harness/experiment.hh"
@@ -87,7 +85,7 @@ usage()
         "  --batches N,N,...    sweep several batch sizes, one row "
         "each\n"
         "  --jobs N             threads for the sweep (0 = one per "
-        "core)\n");
+        "core, at most 256)\n");
     std::exit(2);
 }
 
@@ -205,11 +203,9 @@ main(int argc, char **argv)
                 pos = comma + 1;
             }
         } else if (a == "--jobs") {
-            jobs = static_cast<unsigned>(
-                numArg(argc, argv, i, kU32Max));
-            if (jobs == 0)
-                jobs = std::max(
-                    1u, std::thread::hardware_concurrency());
+            if (!harness::parseJobs("simctl", strArg(argc, argv, i).c_str(),
+                                   jobs))
+                usage();
         } else if (a == "--system") {
             system = strArg(argc, argv, i);
         } else if (a == "--gpu-mib") {

@@ -181,8 +181,10 @@ void
 BlockCorrelationTable::eraseRange(mem::BlockId first, mem::BlockId end)
 {
     // Always a new version, even when nothing here names the range:
-    // a scrub is rare, and a plan it retires needlessly costs one
-    // traversal.
+    // this bump is what retires every walk plan that holds a slab
+    // slot of the freed range, before a registration can hand the
+    // slot to another block. (A registration alone leaves plans live:
+    // it never moves a registered block's slot.)
     ++version_;
     auto dead = [first, end](mem::BlockId b) {
         return b >= first && b < end;

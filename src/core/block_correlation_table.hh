@@ -33,9 +33,12 @@
  * refresh that moves a way's lastEpoch bump it. A refresh that
  * only advances lastUse does not: LRU use stamps steer way
  * replacement in record(), never the walk. So two walks that start
- * from the same version (and the same BlockStore layout) visit the
- * same ways and issue the same candidates in the same order, which
- * is what lets the prefetcher replay a recorded walk plan.
+ * from the same version visit the same ways and issue the same
+ * candidates in the same order, which is what lets the prefetcher
+ * replay a recorded walk plan.
+ * Every block a table names (tag, successor, start, end) is
+ * registered: listeners see registered blocks only, and a freed range
+ * is scrubbed by eraseRange() before its slab slots can be reused.
  */
 
 #pragma once
@@ -223,8 +226,8 @@ class BlockCorrelationTable
      * Scrub every reference to blocks in [@p first, @p end): entries
      * tagged with them are dropped, they are removed from successor
      * lists, and dangling start/end pointers reset. Called when a UM
-     * range is freed so the table never feeds dead blocks to the
-     * prefetcher.
+     * range is freed so the table never names a dead block. Always
+     * moves the version (see the .cc).
      */
     DEEPUM_INVALIDATES_VIEWS
     void eraseRange(mem::BlockId first, mem::BlockId end);

@@ -137,22 +137,25 @@ DeepUm::checkInvariants(sim::CheckContext &ctx) const
     blockTables_.checkInvariants(ctx);
     prefetcher_.checkInvariants(ctx);
 
-    // Chain start/end pointers are followed by the prefetcher; a
-    // committed pointer naming a block the driver no longer manages
-    // means the unregister scrub was missed.
+    // The walk resolves every block a table names to a live slab
+    // slot, and a walk plan outlives a registration, only because
+    // each is registered. A dead name means a fault batch passed a
+    // freed block on, or the unregister scrub was missed.
     blockTables_.forEachTable(
         [&](ExecId id, const BlockCorrelationTable &t) {
-            ctx.require(t.start() == uvm::kNoBlock ||
-                            drv_.knowsBlock(t.start()),
-                        "exec %u chain start points at dead block "
-                        "%llu",
-                        id,
-                        static_cast<unsigned long long>(t.start()));
-            ctx.require(t.end() == uvm::kNoBlock ||
-                            drv_.knowsBlock(t.end()),
-                        "exec %u chain end points at dead block %llu",
-                        id,
-                        static_cast<unsigned long long>(t.end()));
+            auto live = [&](const char *what, mem::BlockId b) {
+                ctx.require(b == uvm::kNoBlock || drv_.knowsBlock(b),
+                            "exec %u %s points at dead block %llu", id,
+                            what, static_cast<unsigned long long>(b));
+            };
+            live("chain start", t.start());
+            live("chain end", t.end());
+            const std::uint32_t ways = t.config().numRows * t.config().assoc;
+            for (std::uint32_t way = 0; way < ways; ++way) {
+                live("tag", t.tagAt(way)); // kNoBlock: an empty way
+                for (mem::BlockId s : t.successorsAt(way))
+                    live("successor", s);
+            }
         });
 }
 

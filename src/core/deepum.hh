@@ -63,8 +63,9 @@ class DeepUm : public uvm::DriverListener
 
     /**
      * Audit the DeepUM-side structures (sim/validate.hh): delegates
-     * to the tables and prefetcher, and checks that every committed
-     * chain start/end pointer names a block the driver still knows.
+     * to the tables and prefetcher, and checks that every block a
+     * table names (tags, successors, start and end) is one the driver
+     * still knows.
      */
     void checkInvariants(sim::CheckContext &ctx) const;
 

@@ -166,8 +166,6 @@ Prefetcher::onPrefetchCompleted(mem::BlockId block, ExecId exec_id,
         return;
     }
     growPending(exec_id);
-    if (pendingDone_[exec_id].empty())
-        ++pendingExecs_;
     support::pushAmortized(pendingDone_[exec_id], at);
 }
 
@@ -179,7 +177,6 @@ Prefetcher::onKernelLaunch(ExecId id)
         for (sim::Tick done_at : pendingDone_[id])
             leadTime_.sample(now >= done_at ? now - done_at : 0);
         pendingDone_[id].clear(); // drained: capacity retained
-        --pendingExecs_;
     }
 
     if (slotCount_ == 0) {
@@ -213,7 +210,6 @@ Prefetcher::onFaultBlocks(const std::vector<mem::BlockId> &blocks)
     growScratch();
     active_ = true;
     paused_ = false;
-    predCur_ = cur;
     predHist_ = correlator_.history();
     chainDepth_ = 0;
     budget_ = cfg_.chainEnqueueCap;
@@ -318,9 +314,7 @@ Prefetcher::execute(const WalkPlan &plan, BlockCorrelationTable &bt,
     auto issueNext = [&] {
         const uvm::BlockIndex i = plan.steps[next++].idx;
         protect(pos, i);
-        const mem::BlockId b =
-            i == uvm::kNoBlockIndex ? uvm::kNoBlock : drv_.store().idAt(i);
-        drv_.enqueuePrefetch(b, i, slotAt(slot).exec,
+        drv_.enqueuePrefetch(drv_.store().idAt(i), i, slotAt(slot).exec,
                              static_cast<std::uint32_t>(slot));
         ++blocksIssued_;
         if (budget_ > 0)
@@ -377,12 +371,11 @@ Prefetcher::onKernelEnd()
     growScratch();
     if (budget_ != 0 && walk_.head < walk_.queue.size()) {
         // The paused walk's visits, against its table as it is now.
-        BlockCorrelationTable *bt = blockTables_.find(predCur_);
-        if (bt == nullptr) {
-            active_ = false;
-            ++chainDeadNoTable_;
-            return;
-        }
+        // Tables are never dropped, and this kernel had one when its
+        // walk paused.
+        BlockCorrelationTable *bt =
+            blockTables_.find(slotAt(chainDepth_).exec);
+        DEEPUM_ASSERT(bt != nullptr, "paused walk's kernel lost its table");
         const std::uint32_t entry = uncached_.entry;
         tableVisits_ += traverseVisits(*bt, entry + budget_, walk_, uncached_);
         execute(uncached_, *bt, entry);
@@ -416,14 +409,14 @@ Prefetcher::transitionChain()
             active_ = false;
             return;
         }
-        ExecId next = execTable_.predict(predCur_, predHist_);
+        const ExecId cur = slotAt(chainDepth_).exec;
+        const ExecId next = execTable_.predict(cur, predHist_);
         if (next == kNoExecId) {
             active_ = false;
             ++chainDeadNoPrediction_;
             return;
         }
-        predHist_ = ExecHistory{predHist_[1], predHist_[2], predCur_};
-        predCur_ = next;
+        predHist_ = ExecHistory{predHist_[1], predHist_[2], cur};
         ++chainDepth_;
         tracePredictNext(next);
         while (slotCount_ <= chainDepth_)
@@ -432,7 +425,7 @@ Prefetcher::transitionChain()
 
         const bool pausing = chainDepth_ >= cfg_.lookaheadN;
         walk_.restart();
-        BlockCorrelationTable *bt = blockTables_.find(predCur_);
+        BlockCorrelationTable *bt = blockTables_.find(next);
         if (bt == nullptr || bt->start() == uvm::kNoBlock) {
             // This kernel never faulted (its working set is always
             // resident): nothing to prefetch for it. Skip through to
@@ -454,14 +447,13 @@ Prefetcher::transitionChain()
             bt->start() == bt->end() && bt->end() != uvm::kNoBlock;
         const bool exhausts = !pausing && !single_block;
         const bool cached = exhausts && cachePlans_;
-        WalkPlan &plan = cached ? planFor(predCur_) : uncached_;
+        WalkPlan &plan = cached ? planFor(next) : uncached_;
         if (cached && planLive(plan, *bt)) {
             execute(plan, *bt, 0);
             ++walksReplayed_;
             return;
         }
         plan.version = bt->version();
-        plan.layout = drv_.store().layoutVersion();
         plan.steps.clear();
         plan.succs.clear();
         traverseEntry(*bt, true, budget_, walk_, plan);
@@ -582,21 +574,14 @@ Prefetcher::checkInvariants(sim::CheckContext &ctx) const
                     id, plan.steps.size(), plan.entry, fresh.steps.size(),
                     fresh.entry);
     }
-    std::size_t pending = 0;
-    for (ExecId id = 0; id < pendingDone_.size(); ++id)
-        if (!pendingDone_[id].empty())
-            ++pending;
-    ctx.require(pending == pendingExecs_,
-                "pending-completion counter %zu disagrees with %zu "
-                "non-empty slots",
-                pendingExecs_, pending);
 }
 
 void
 Prefetcher::dumpState(std::ostream &os) const
 {
     os << "Prefetcher{active=" << active_ << " paused=" << paused_
-       << " chainDepth=" << chainDepth_ << " predCur=" << predCur_
+       << " chainDepth=" << chainDepth_ << " cursorExec="
+       << (chainDepth_ < slotCount_ ? slotAt(chainDepth_).exec : kNoExecId)
        << " budget=" << budget_ << " slots=" << slotCount_
        << " protected=" << protectedDistinct_
        << " walk=" << walk_.queue.size() - walk_.head << "}\n";

@@ -30,18 +30,18 @@
  * where the budget will stop the executor, so it spends no probe
  * past the cut.
  *
- * A transition walk (the chain entering a predicted kernel's table
+ * Every block a walk meets is registered (block_correlation_table.hh),
+ * so a transition walk (the chain entering a predicted kernel's table
  * with a fresh seen-set) is a function of that table's walk-visible
- * state (BlockCorrelationTable::version()) and the store's layout
- * (BlockStore::layoutVersion()). So it traverses into a per-table
- * plan, tagged with both versions, and the next transition into an
- * unchanged table executes that plan again without traversing. A
- * plan cut by the budget is not kept, and one whose execution moved a
- * way's lastEpoch is stale by its version. Restart walks (from
- * faulted blocks), single-block kernels and the walk that pauses at
- * depth N traverse into one uncached plan; a paused walk appends its
- * visits to it when the running kernel ends, against the table as it
- * is then.
+ * state (BlockCorrelationTable::version()) alone. So it traverses into
+ * a per-table plan, tagged with the version, and the next transition
+ * into an unchanged table executes that plan again without
+ * traversing. A plan cut by the budget is not kept, and one whose
+ * execution moved a way's lastEpoch is stale by its version. Restart
+ * walks (from faulted blocks), single-block kernels and the walk that
+ * pauses at depth N traverse into one uncached plan; a paused walk
+ * appends its visits to it when the running kernel ends, against the
+ * table as it is then.
  *
  * The prefetcher also maintains the *protected set* — blocks
  * predicted to be used by the current and next N kernels — which the
@@ -146,10 +146,9 @@ class Prefetcher
      * list a slab index twice or list a freed one, the count of
      * non-zero masks must equal protectedCount(), every slab slot's
      * store hold bit must equal its mask being non-zero, the window
-     * must respect the lookahead bound, the chain cursor must point
-     * into the window, and the pending completion table's non-empty
-     * counter must match its slots. Every replayable plan must equal
-     * a fresh traversal of its table.
+     * must respect the lookahead bound and the chain cursor must
+     * point into the window. Every replayable plan must equal a fresh
+     * traversal of its table.
      */
     void checkInvariants(sim::CheckContext &ctx) const;
 
@@ -183,7 +182,6 @@ class Prefetcher
      */
     struct WalkPlan {
         std::uint64_t version = 0; ///< table version; 0 = no plan
-        std::uint64_t layout = 0;  ///< store layout at traversal
         std::uint32_t sweep = 0;
         std::uint32_t entry = 0;
         std::vector<PlanStep> steps;
@@ -213,19 +211,13 @@ class Prefetcher
             ++gen;
         }
 
-        /**
-         * Mark slab slot @p i seen; @return true on first sight.
-         * Unknown blocks (kNoBlockIndex) are always new (the driver
-         * drops their enqueues).
-         */
+        /** Mark slab slot @p i seen; @return true on first sight. */
         DEEPUM_NOALLOC bool
         markSeen(uvm::BlockIndex i)
         {
-            if (i == uvm::kNoBlockIndex)
-                return true;
             if constexpr (sim::kValidateBuild)
                 DEEPUM_ASSERT(i < seen.size(),
-                              "slab slot %u registered mid-chain", i);
+                              "slab slot %u unknown or new mid-chain", i);
             if (seen[i] == gen)
                 return false;
             seen[i] = gen;
@@ -275,11 +267,10 @@ class Prefetcher
     }
 
     /** True if @p plan is @p bt's current walk. */
-    bool
-    planLive(const WalkPlan &plan, const BlockCorrelationTable &bt) const
+    static bool
+    planLive(const WalkPlan &plan, const BlockCorrelationTable &bt)
     {
-        return plan.version == bt.version() &&
-               plan.layout == drv_.store().layoutVersion();
+        return plan.version == bt.version();
     }
 
     /** Grow the pending-completion table to cover @p exec_id. */
@@ -297,14 +288,13 @@ class Prefetcher
     /**
      * Add slab slot @p i to the protection list of the window slot at
      * ring position @p pos unless that slot already lists it (a
-     * restarted chain re-issues what its slots hold) or the block is
-     * unknown (nothing to hold). Inline: on cached plans the test is
-     * most of the per-candidate work.
+     * restarted chain re-issues what its slots hold). Inline: on
+     * cached plans the test is most of the per-candidate work.
      */
     DEEPUM_NOALLOC void
     protect(std::size_t pos, uvm::BlockIndex i)
     {
-        if (i != uvm::kNoBlockIndex && (protMask_[i] >> pos & 1) == 0)
+        if ((protMask_[i] >> pos & 1) == 0)
             addListing(pos, i);
     }
 
@@ -397,12 +387,10 @@ class Prefetcher
      * indexed by ExecId (dense). Drained slots keep their capacity.
      */
     std::vector<std::vector<sim::Tick>> pendingDone_;
-    std::size_t pendingExecs_ = 0; ///< non-empty pendingDone_ slots
 
-    // Chain state.
+    // Chain state; slotAt(chainDepth_).exec is the kernel walked for.
     bool active_ = false;
     bool paused_ = false;
-    ExecId predCur_ = kNoExecId;     ///< kernel being prefetched for
     ExecHistory predHist_{kNoExecId, kNoExecId, kNoExecId};
     std::uint32_t chainDepth_ = 0;   ///< window index being filled
     std::uint32_t budget_ = 0;       ///< enqueue cap per activation
@@ -422,7 +410,7 @@ class Prefetcher
     sim::Scalar chainExhaustedTransitions_;
     sim::Scalar chainSkippedKernels_;
     sim::Scalar chainDeadNoPrediction_;
-    sim::Scalar chainDeadNoTable_;
+    sim::Scalar chainDeadNoTable_; ///< never moves; keeps its dump key
     sim::Scalar chainPauses_;
     sim::Scalar blocksIssued_;
     sim::Scalar walksRecorded_;

@@ -1,6 +1,10 @@
 #include "harness/parallel.hh"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+
+#include "sim/logging.hh"
 
 namespace deepum::harness {
 
@@ -11,11 +15,34 @@ thread_local bool tls_in_worker = false;
 
 } // namespace
 
-ParallelRunner::ParallelRunner(unsigned jobs)
-    : jobs_(jobs != 0
-                ? jobs
-                : std::max(1u, std::thread::hardware_concurrency()))
+unsigned
+hardwareJobs()
 {
+    return std::clamp(std::thread::hardware_concurrency(), 1u, kMaxJobs);
+}
+
+bool
+parseJobs(const char *prog, const char *s, unsigned &jobs)
+{
+    // strtoul saturates on overflow, which fails the bound too.
+    char *end = nullptr;
+    const unsigned long v =
+        *s >= '0' && *s <= '9' ? std::strtoul(s, &end, 10) : 0;
+    if (end == nullptr || *end != '\0' || v > kMaxJobs) {
+        std::fprintf(stderr,
+                     "%s: --jobs expects a number in [0, %u], got '%s'\n",
+                     prog, kMaxJobs, s);
+        return false;
+    }
+    jobs = v != 0 ? static_cast<unsigned>(v) : hardwareJobs();
+    return true;
+}
+
+ParallelRunner::ParallelRunner(unsigned jobs)
+    : jobs_(jobs != 0 ? jobs : hardwareJobs())
+{
+    DEEPUM_ASSERT(jobs_ <= kMaxJobs, "%u workers exceed the %u-job bound",
+                  jobs_, kMaxJobs);
     // The calling thread is worker #0; spawn the rest.
     workers_.reserve(jobs_ - 1);
     for (unsigned i = 1; i < jobs_; ++i)

@@ -30,6 +30,19 @@
 
 namespace deepum::harness {
 
+/** The most workers a pool runs (and a `--jobs` flag accepts). */
+inline constexpr unsigned kMaxJobs = 256;
+
+/** One worker per hardware thread, within [1, kMaxJobs]. */
+unsigned hardwareJobs();
+
+/**
+ * Parse the `--jobs` value @p s into @p jobs: digits only, at most
+ * kMaxJobs, 0 means hardwareJobs(). Otherwise print why to stderr
+ * (prefixed by @p prog) and return false, before any thread starts.
+ */
+bool parseJobs(const char *prog, const char *s, unsigned &jobs);
+
 /**
  * A fixed-size thread pool running one index-sharded job at a time.
  *
@@ -46,7 +59,8 @@ class ParallelRunner
 {
   public:
     /**
-     * @param jobs worker count; 0 means one per hardware thread.
+     * @param jobs worker count, at most kMaxJobs; 0 means
+     * hardwareJobs().
      */
     explicit ParallelRunner(unsigned jobs = 0);
     ~ParallelRunner();

@@ -107,7 +107,6 @@ BlockStore::registerRun(mem::BlockId first, mem::BlockId end)
         ids_[base + i] = first + i;
     }
     size_ += n;
-    ++layoutVersion_;
     return base;
 }
 
@@ -138,7 +137,6 @@ BlockStore::unregisterRun(mem::BlockId first, mem::BlockId end)
     hot_ = 0;
     freeSlots(base, n);
     size_ -= n;
-    ++layoutVersion_;
 }
 
 void

@@ -340,18 +340,21 @@ Driver::handleFaults()
                                        std::uint64_t(ordered.size())),
                       sim::Tracer::arg("pages", pages)});
 
-    eventq().scheduleIn(cost, [this, ordered = std::move(ordered)] {
+    eventq().scheduleIn(cost, [this, ordered = std::move(ordered)]() mutable {
+        // A free may run during the modelled preprocess delay: drop
+        // its blocks here, once, so neither the listeners nor the
+        // fault queue ever see an unregistered block.
+        std::erase_if(ordered, [this](mem::BlockId b) {
+            return !store_.contains(b);
+        });
         for (auto *l : listeners_)
             l->onFaultBatch(ordered);
 
         for (mem::BlockId b : ordered) {
-            // Re-probe: a listener or a queued free may have dropped
-            // the block between drain and dispatch (other events run
-            // during the modelled preprocess delay), so a missing
-            // block is stale, not fatal — skip it.
             BlockIndex i = store_.find(b);
-            if (i == kNoBlockIndex)
-                continue;
+            DEEPUM_ASSERT(i != kNoBlockIndex,
+                          "a listener freed faulted block %llu",
+                          static_cast<unsigned long long>(b));
             BlockInfo &bi = store_.at(i);
             if (bi.loc == Loc::Device)
                 continue; // a prefetch landed it meanwhile

@@ -24,7 +24,8 @@ class DriverListener
 
     /**
      * One preprocessed fault batch: deduped faulted UM blocks in
-     * fault-buffer arrival order.
+     * fault-buffer arrival order, all registered (the driver drops
+     * blocks freed before dispatch); a listener must not free one.
      */
     virtual void onFaultBatch(const std::vector<mem::BlockId> &blocks)
     {

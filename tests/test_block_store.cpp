@@ -420,15 +420,12 @@ TEST(BlockStore, UnregisterReusesSlabSlots)
     std::size_t slab = st.slabSize();
 
     // Drop the first run and register an equal-sized one elsewhere:
-    // the freed slots must be reused, not appended. Each step moves
-    // the layout version, since a find() cached across it would now
-    // name another block's slot (or a freed one).
-    std::uint64_t layout = st.layoutVersion();
+    // the freed slots must be reused, not appended, and the live
+    // run's slots must not move.
+    const BlockIndex live = st.find(kBase + 100);
     st.unregisterRun(kBase, kBase + 8);
-    EXPECT_NE(st.layoutVersion(), layout);
-    layout = st.layoutVersion();
     BlockIndex i = st.registerRun(kBase + 200, kBase + 208);
-    EXPECT_NE(st.layoutVersion(), layout);
+    EXPECT_EQ(st.find(kBase + 100), live);
     EXPECT_EQ(st.slabSize(), slab);
     EXPECT_EQ(i, 0u); // first-fit: the lowest freed slot
 

@@ -787,14 +787,16 @@ TEST(WalkPlan, VisitThatMovesLastEpochForcesReRecord)
     EXPECT_EQ(p.planned.replayed(), replayed + 1);
 }
 
-TEST(WalkPlan, RangeRegisterAndUnregisterForceReRecord)
+TEST(WalkPlan, RangeUnregisterForcesReRecordButRegisterDoesNot)
 {
-    // Kernel 1's table names blocks of a range that is not
-    // registered yet: the plan records them as unknown, and the
-    // registration must make the next walk resolve them.
+    // Kernel 1's table names blocks of a second range. Registering a
+    // third range moves no registered block's slab slot, so the plan
+    // stays live; freeing the second scrubs the table and retires it.
     const mem::VAddr vr = mem::kUmBase + 256 * mem::kBlockBytes;
+    const mem::VAddr vs = mem::kUmBase + 512 * mem::kBlockBytes;
     PlanPair p;
     p.step([vr](PlanWorld &w) {
+        w.drv.registerRange(vr, 2 * mem::kBlockBytes);
         w.table(1).record(w.base(1) + 2, mem::blockOf(vr));
         w.table(1).record(mem::blockOf(vr), mem::blockOf(vr) + 1);
         w.dum->notifyKernelLaunch(0);
@@ -803,16 +805,13 @@ TEST(WalkPlan, RangeRegisterAndUnregisterForceReRecord)
         p.restart(0);
     std::uint64_t replayed = p.planned.replayed();
     ASSERT_GT(replayed, 0u);
-    p.step([vr](PlanWorld &w) {
-        w.drv.registerRange(vr, 2 * mem::kBlockBytes);
+    p.step([vs](PlanWorld &w) {
+        w.drv.registerRange(vs, 2 * mem::kBlockBytes);
     });
     p.restart(0);
-    EXPECT_EQ(p.planned.replayed(), replayed);
-    p.restart(0);
-    EXPECT_EQ(p.planned.replayed(), ++replayed);
-    p.restart(0);
-    ++replayed;
-    // Freeing it scrubs the table and the protection stamps.
+    EXPECT_EQ(p.planned.replayed(), ++replayed)
+        << "a registration retired a live plan";
+    // Freeing it scrubs the table and the protection listings.
     p.step([vr](PlanWorld &w) {
         w.drv.unregisterRange(vr, 2 * mem::kBlockBytes);
     });
@@ -944,6 +943,28 @@ TEST(WalkPlanDeath, CorruptedPlanEntryIsCaught)
     auditDeepUm(*w.dum);
     ASSERT_TRUE(PrefetcherTestAccess::corruptPlan(w.dum->prefetcher()));
     EXPECT_DEATH(auditDeepUm(*w.dum), "is not its table's walk");
+}
+
+TEST(DeepUmDeath, TableNamingAnUnregisteredBlockIsCaught)
+{
+    // The walk resolves every block a table names to a live slab
+    // slot; a name the driver does not know must trip the audit,
+    // whether it is a tag or a successor.
+    DeepUmWorld w;
+    const mem::BlockId b0 = mem::blockOf(w.reg(4));
+    w.launch("k", 1, {b0, b0 + 1});
+    auditDeepUm(*w.dum);
+    constexpr mem::BlockId kDead = 0xdead0;
+    ASSERT_FALSE(w.drv.knowsBlock(kDead));
+    BlockCorrelationTable &t = w.dum->blockTables().getOrCreate(w.ids_[0]);
+    t.record(b0, kDead);
+    EXPECT_DEATH(auditDeepUm(*w.dum),
+                 "successor points at dead block " + std::to_string(kDead));
+    t.eraseRange(kDead, kDead + 1);
+    auditDeepUm(*w.dum);
+    t.record(kDead, b0);
+    EXPECT_DEATH(auditDeepUm(*w.dum),
+                 "tag points at dead block " + std::to_string(kDead));
 }
 
 TEST(PrefetcherDeath, FlippedMaskBitIsCaught)

@@ -2,17 +2,21 @@
  * @file
  * Property-based tests: randomized sweeps (TEST_P and fuzz loops)
  * over structural invariants — allocator conservation, driver
- * residency conservation, table geometry invariants, VA-space
- * non-overlap under random workloads.
+ * residency conservation, DeepUM's audits under range register/free
+ * churn, table geometry invariants, VA-space non-overlap under
+ * random workloads.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/block_correlation_table.hh"
+#include "core/deepum.hh"
+#include "core/execution_id_table.hh"
 #include "gpu/fault_buffer.hh"
 #include "gpu/gpu_engine.hh"
 #include "gpu/pcie_link.hh"
@@ -23,6 +27,7 @@
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
+#include "sim/validate.hh"
 #include "torch/allocator.hh"
 #include "uvm/driver.hh"
 
@@ -175,6 +180,173 @@ TEST_P(DriverFuzz, ResidencyConservesFrames)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DriverFuzz,
                          ::testing::Values(3u, 99u, 2026u));
+
+// ------------------------------------------------- deepum range churn
+
+/**
+ * DeepUM on a small GPU while UM ranges come and go, as the caching
+ * allocator's emptyCache() makes them: a fixed cycle of kernels over
+ * random blocks of the live ranges, random frees, and registrations,
+ * some at a freed VA (so its BlockIds come back on whichever slab
+ * slots are free then). The driver and DeepUM audits run after every
+ * step; every block a table names must stay registered.
+ */
+class DeepUmChurn : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+constexpr std::uint64_t kChurnSeeds[] = {1, 5, 17, 42, 99, 314, 2026, 65537};
+
+/**
+ * What the churn reached, summed over the seeds and checked once all
+ * of them ran: some free hit a protected block, and some plan was
+ * replayed after a registration. (Lookahead 1 caches no plan, so no
+ * single seed is bound to replay one.)
+ */
+struct ChurnCoverage : ::testing::Environment {
+    static inline std::size_t seeds = 0;
+    static inline std::uint64_t protectedFrees = 0;
+    static inline std::uint64_t replaysAfterRegister = 0;
+
+    void
+    TearDown() override
+    {
+        if (seeds < std::size(kChurnSeeds))
+            return; // a filtered run
+        EXPECT_GT(protectedFrees, 0u) << "no seed freed a protected block";
+        EXPECT_GT(replaysAfterRegister, 0u)
+            << "no seed replayed a plan after a registration";
+    }
+};
+
+[[maybe_unused]] ::testing::Environment *const kChurnCoverage =
+    ::testing::AddGlobalTestEnvironment(new ChurnCoverage);
+
+TEST_P(DeepUmChurn, AuditsStayCleanUnderRegisterFreeChurn)
+{
+    const std::uint64_t seed = GetParam();
+    sim::Rng rng(seed);
+    sim::EventQueue eq;
+    sim::StatSet stats;
+    gpu::TimingConfig cfg;
+    gpu::FaultBuffer fb;
+    gpu::PcieLink link(cfg);
+    mem::FramePool frames(6 * mem::kPagesPerBlock);
+    gpu::GpuEngine engine(eq, cfg, fb, stats);
+    uvm::Driver drv(eq, cfg, fb, link, frames, stats);
+    engine.setBackend(&drv);
+    drv.setEngine(&engine);
+    core::DeepUmConfig dcfg;
+    constexpr std::uint32_t kLookaheads[] = {1, 2, 8};
+    dcfg.lookaheadN = kLookaheads[rng.below(3)];
+    dcfg.preevictWatermarkPages = mem::kPagesPerBlock;
+    core::DeepUm dum(drv, dcfg, stats);
+    sim::Validator audit;
+    audit.add("driver", drv);
+    audit.add("deepum", dum);
+    drv.setValidator(&audit);
+
+    // Eight VA slots of up to four blocks each.
+    constexpr std::uint64_t kSlots = 8;
+    auto vaOf = [](std::uint64_t slot) {
+        return mem::kUmBase + slot * 16 * mem::kBlockBytes;
+    };
+    std::map<std::uint64_t, std::uint64_t> live; // slot -> blocks
+    std::vector<std::uint64_t> freed;            // slots, oldest first
+    auto registerSlot = [&](std::uint64_t slot) {
+        const std::uint64_t blocks = 1 + rng.below(4);
+        drv.registerRange(vaOf(slot), blocks * mem::kBlockBytes);
+        live.emplace(slot, blocks);
+    };
+    registerSlot(0);
+    registerSlot(1);
+
+    constexpr int kKernels = 5;
+    std::vector<std::vector<mem::BlockId>> uses(kKernels);
+    auto drawUses = [&](std::vector<mem::BlockId> &v) {
+        v.clear();
+        for (std::uint64_t n = 1 + rng.below(3); n != 0; --n) {
+            auto it = live.begin();
+            std::advance(it, rng.below(live.size()));
+            v.push_back(mem::blockOf(vaOf(it->first)) + rng.below(it->second));
+        }
+    };
+    for (auto &v : uses)
+        drawUses(v);
+
+    core::ExecutionIdTable ids;
+    gpu::KernelInfo k;
+    int next = 0;
+    bool registered = false; // a registration since the last free
+    std::uint64_t protectedFrees = 0, replaysAfterRegister = 0;
+    for (int step = 0; step < 600; ++step) {
+        const std::uint64_t pick = rng.below(20);
+        if (pick == 0 && live.size() > 1) {
+            auto it = live.begin();
+            std::advance(it, rng.below(live.size()));
+            const mem::BlockId b0 = mem::blockOf(vaOf(it->first));
+            for (mem::BlockId b = b0; b < b0 + it->second; ++b)
+                if (dum.prefetcher().isProtected(b)) {
+                    ++protectedFrees;
+                    break;
+                }
+            drv.unregisterRange(vaOf(it->first),
+                                it->second * mem::kBlockBytes);
+            freed.push_back(it->first);
+            live.erase(it);
+            registered = false;
+        } else if (pick == 1 && live.size() < kSlots) {
+            std::uint64_t slot = 0;
+            if (!freed.empty() && rng.below(2) == 0) {
+                slot = freed.front(); // back at a freed VA
+            } else {
+                while (live.count(slot) != 0)
+                    ++slot;
+            }
+            std::erase(freed, slot);
+            registerSlot(slot);
+            registered = true;
+        } else {
+            // The next kernel of the cycle; uses that name a freed
+            // block are redrawn over the live ranges.
+            std::vector<mem::BlockId> &use = uses[next];
+            for (mem::BlockId b : use)
+                if (!drv.knowsBlock(b)) {
+                    drawUses(use);
+                    break;
+                }
+            k.name = "churn";
+            k.argHash = static_cast<std::uint64_t>(next);
+            k.computeNs = 1 + rng.below(200 * sim::kUsec);
+            k.accesses.clear();
+            for (mem::BlockId b : use)
+                k.accesses.push_back(gpu::BlockAccess{b, 512, false});
+            next = (next + 1) % kKernels;
+            const std::uint64_t replayed =
+                stats.get("prefetcher.walksReplayed");
+            dum.notifyKernelLaunch(ids.lookupOrAssign(k));
+            bool done = false;
+            engine.launch(&k, [&] { done = true; });
+            eq.run();
+            ASSERT_TRUE(done) << "seed " << seed << " step " << step;
+            if (registered &&
+                stats.get("prefetcher.walksReplayed") > replayed)
+                ++replaysAfterRegister;
+        }
+        const std::string where =
+            "seed " + std::to_string(seed) + " step " + std::to_string(step);
+        audit.runAll(where.c_str());
+    }
+    ++ChurnCoverage::seeds;
+    ChurnCoverage::protectedFrees += protectedFrees;
+    ChurnCoverage::replaysAfterRegister += replaysAfterRegister;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DeepUmChurn,
+                         ::testing::ValuesIn(kChurnSeeds),
+                         [](const auto &info) {
+                             return "seed" + std::to_string(info.param);
+                         });
 
 // ------------------------------------------------- table geometry
 

@@ -442,8 +442,8 @@ TEST(UvmDriverDeath, FaultOnUnregisteredBlockPanics)
 
 TEST(UvmDriver, DroppedBlockBetweenDrainAndDispatchIsSkipped)
 {
-    // The re-probe comment in handleFaults promises a freed block is
-    // survivable; this pins the skip (it used to panic).
+    // A block freed between drain and dispatch is stale, not fatal:
+    // handleFaults drops it before dispatch.
     World w;
     w.drv.registerRange(mem::kUmBase, 2 * mem::kBlockBytes);
     mem::BlockId b0 = mem::blockOf(mem::kUmBase);
@@ -459,6 +459,31 @@ TEST(UvmDriver, DroppedBlockBetweenDrainAndDispatchIsSkipped)
     EXPECT_EQ(w.stats.get("uvm.faultedBlocks"), 2u);
     EXPECT_EQ(w.stats.get("uvm.migratedBlocks"), 0u);
     EXPECT_FALSE(w.drv.knowsBlock(b0));
+}
+
+TEST(UvmDriver, ListenersNeverSeeABlockFreedBeforeDispatch)
+{
+    // Faults on two ranges; the first is freed between drain and
+    // dispatch. The listeners' batch must leave its block out, and
+    // the survivor is served as usual.
+    World w;
+    BatchRecorder rec;
+    w.drv.addListener(&rec);
+    const mem::VAddr va = mem::kUmBase;
+    const mem::VAddr vb = mem::kUmBase + 8 * mem::kBlockBytes;
+    w.drv.registerRange(va, mem::kBlockBytes);
+    w.drv.registerRange(vb, mem::kBlockBytes);
+    w.fb.push(gpu::FaultEntry{mem::blockOf(va), 512, false, 0});
+    w.fb.push(gpu::FaultEntry{mem::blockOf(vb), 512, false, 0});
+    w.drv.faultInterrupt();
+    w.eq.schedule(w.cfg.faultInterruptLatency + 1, [&] {
+        w.drv.unregisterRange(va, mem::kBlockBytes);
+    });
+    w.eq.run();
+    EXPECT_EQ(w.stats.get("uvm.faultedBlocks"), 2u);
+    ASSERT_EQ(rec.batches.size(), 1u);
+    EXPECT_EQ(rec.batches[0], (std::vector<mem::BlockId>{mem::blockOf(vb)}));
+    EXPECT_EQ(w.drv.blockInfo(mem::blockOf(vb)).loc, Loc::Device);
 }
 
 } // namespace

@@ -92,6 +92,10 @@ def main():
     if unknown:
         ap.error("unknown cell(s): " + ", ".join(sorted(unknown)))
     cells = [c for c in CELLS if not args.cells or c[0] in args.cells]
+    if not (os.path.isfile(args.simctl) and os.access(args.simctl, os.X_OK)):
+        print("check_goldens: --simctl %s is not an executable file"
+              % args.simctl, file=sys.stderr)
+        return 2
 
     with tempfile.TemporaryDirectory() as tmp:
         out = args.out or tmp
